@@ -8,14 +8,21 @@
 // event_driven off, retries off, coalescing off), the staged request
 // machine must reproduce the legacy figures exactly.
 //
+// The sharded_* goldens pin the sharded engine (ExecutionPolicy::shards >= 1)
+// the same way: captured from the engine as it stood before its handlers
+// moved onto the shared ProxyNode core, they hold its message schedule
+// (hop delays, in-flight overlap) fixed across refactors.
+//
 // Regenerate (only when a change is MEANT to alter legacy results):
 //   EACACHE_UPDATE_GOLDEN=1 ./test_sim --gtest_filter='PipelineRegression*'
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "group/cache_group.h"
 #include "sim/result_json.h"
@@ -50,12 +57,35 @@ GroupConfig base_config() {
   return config;
 }
 
+// Dense short-span trace (shard_engine_test.cpp's): ~3k requests in one
+// simulated minute, so requests overlap in flight on the sharded engine.
+const Trace& dense_trace() {
+  static const Trace trace = [] {
+    SyntheticTraceConfig config;
+    config.seed = 11;
+    config.num_requests = 3000;
+    config.num_documents = 400;
+    config.num_users = 64;
+    config.span = minutes(1);
+    return generate_synthetic_trace(config);
+  }();
+  return trace;
+}
+
+RunSpec spec_for(GroupConfig group, std::size_t shards = 0) {
+  RunSpec spec;
+  spec.group = std::move(group);
+  spec.exec.shards = shards;
+  return spec;
+}
+
 std::string golden_path(const std::string& name) {
   return std::string(EACACHE_GOLDEN_DIR) + "/" + name + ".json";
 }
 
-void check_against_golden(const std::string& name, const GroupConfig& config) {
-  const SimulationResult result = run_simulation(regression_trace(), config);
+void check_against_golden(const std::string& name, const RunSpec& spec,
+                          const Trace& trace = regression_trace()) {
+  const SimulationResult result = run(trace, spec);
   const std::string json = simulation_result_to_json(result);
 
   const std::string path = golden_path(name);
@@ -80,18 +110,20 @@ void check_against_golden(const std::string& name, const GroupConfig& config) {
                             << name << "'";
 }
 
-TEST(PipelineRegression, EaDistributed) { check_against_golden("ea_distributed", base_config()); }
+TEST(PipelineRegression, EaDistributed) {
+  check_against_golden("ea_distributed", spec_for(base_config()));
+}
 
 TEST(PipelineRegression, AdHocDistributed) {
   GroupConfig config = base_config();
   config.placement = PlacementKind::kAdHoc;
-  check_against_golden("adhoc_distributed", config);
+  check_against_golden("adhoc_distributed", spec_for(config));
 }
 
 TEST(PipelineRegression, EaHierarchical) {
   GroupConfig config = base_config();
   config.topology = TopologyKind::kHierarchical;
-  check_against_golden("ea_hierarchical", config);
+  check_against_golden("ea_hierarchical", spec_for(config));
 }
 
 TEST(PipelineRegression, EaDigestDiscovery) {
@@ -99,14 +131,14 @@ TEST(PipelineRegression, EaDigestDiscovery) {
   config.discovery = DiscoveryMode::kDigest;
   config.digest.expected_items = 2048;
   config.digest.refresh_period = minutes(15);
-  check_against_golden("ea_digest", config);
+  check_against_golden("ea_digest", spec_for(config));
 }
 
 TEST(PipelineRegression, EaIcpLoss) {
   // Pins the network RNG draw order: one deterministic draw per probed peer.
   GroupConfig config = base_config();
   config.icp_loss_probability = 0.2;
-  check_against_golden("ea_icp_loss", config);
+  check_against_golden("ea_icp_loss", spec_for(config));
 }
 
 TEST(PipelineRegression, EaCoherence) {
@@ -115,20 +147,20 @@ TEST(PipelineRegression, EaCoherence) {
   config.coherence.fresh_ttl = minutes(30);
   config.origin.min_update_interval = minutes(30);
   config.origin.max_update_interval = hours(8);
-  check_against_golden("ea_coherence", config);
+  check_against_golden("ea_coherence", spec_for(config));
 }
 
 TEST(PipelineRegression, HashPartition) {
   GroupConfig config = base_config();
   config.placement = PlacementKind::kAdHoc;
   config.routing = RoutingMode::kHashPartition;
-  check_against_golden("hash_partition", config);
+  check_against_golden("hash_partition", spec_for(config));
 }
 
 TEST(PipelineRegression, EaPrefetch) {
   GroupConfig config = base_config();
   config.prefetch.enabled = true;
-  check_against_golden("ea_prefetch", config);
+  check_against_golden("ea_prefetch", spec_for(config));
 }
 
 TEST(PipelineRegression, EaTraced) {
@@ -136,7 +168,31 @@ TEST(PipelineRegression, EaTraced) {
   // golden pins the NUMBER of spans the legacy path records per request.
   GroupConfig config = base_config();
   config.obs.trace_capacity = 4096;
-  check_against_golden("ea_traced", config);
+  check_against_golden("ea_traced", spec_for(config));
+}
+
+TEST(PipelineRegression, ShardedEaDistributed) {
+  check_against_golden("sharded_ea_distributed", spec_for(base_config(), 2));
+}
+
+TEST(PipelineRegression, ShardedEaHierarchical) {
+  GroupConfig config = base_config();
+  config.topology = TopologyKind::kHierarchical;
+  check_against_golden("sharded_ea_hierarchical", spec_for(config, 2));
+}
+
+TEST(PipelineRegression, ShardedEaThreeLevel) {
+  // 16 leaves under 4 mid caches under one root: parent chains forward
+  // through an intermediate node while other requests are in flight.
+  GroupConfig config;
+  std::vector<std::optional<ProxyId>> parents(21);
+  for (ProxyId leaf = 0; leaf < 16; ++leaf) parents[leaf] = static_cast<ProxyId>(16 + leaf / 4);
+  for (ProxyId mid = 16; mid < 20; ++mid) parents[mid] = 20;
+  config.topology = TopologyKind::kHierarchical;
+  config.custom_parents = std::move(parents);
+  config.aggregate_capacity = 4 * kMiB;
+  config.placement = PlacementKind::kEa;
+  check_against_golden("sharded_ea_three_level", spec_for(config, 4), dense_trace());
 }
 
 }  // namespace

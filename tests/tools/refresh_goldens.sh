@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate the goldens in tests/golden/ — the pipeline-regression set
-# (test_sim) and the daemon smoke-replay pin (test_daemon) — and show what
-# changed before you commit anything.
+# (test_sim: the classic and event-driven drivers plus the sharded_* pins of
+# the sharded engine) and the daemon smoke-replay pin (test_daemon) — and
+# show what changed before you commit anything.
 #
 # Usage:
 #   tests/tools/refresh_goldens.sh            # uses ./build
