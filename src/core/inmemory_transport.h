@@ -4,10 +4,10 @@
 // call: the orchestrator IS the network, so delivery is implicit and the
 // `Transport` class only does accounting. A live daemon has no orchestrator
 // — each proxy runs on its own thread and messages must actually travel.
-// This header provides that wire: a flat `WireMessage` envelope carrying
-// any of the protocol payloads from net/message.h, a `MessageTransport`
-// delivery interface, and an `InMemoryTransport` that connects N in-process
-// endpoints through locked FIFO mailboxes.
+// This header provides that wire for `WireMessage` envelopes
+// (core/wire_message.h): a `MessageTransport` delivery interface and an
+// `InMemoryTransport` that connects N in-process endpoints through locked
+// FIFO mailboxes.
 //
 // Delivery contract (what the daemon's correctness rests on, and what
 // tests/core/inmemory_transport_test.cpp proves):
@@ -19,12 +19,11 @@
 //     mailbox against shutdown without spinning.
 //
 // Wire accounting stays with the existing net/transport.h `Transport`; this
-// class only moves envelopes. The daemon records costs at send sites, same
-// as the simulator's orchestrator does.
+// class only moves envelopes. ProxyNode (core/proxy_node.h) records costs
+// at its send sites, same as the simulator's orchestrator does.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -32,63 +31,9 @@
 
 #include "common/thread_annotations.h"
 #include "common/types.h"
-#include "net/message.h"
+#include "core/wire_message.h"
 
 namespace eacache {
-
-/// One envelope on the in-memory wire. A flat tagged union (plain fields,
-/// not std::variant) so the struct is trivially copyable and the daemon's
-/// request-correlation code can read common fields without visitation.
-struct WireMessage {
-  enum class Kind : std::uint8_t {
-    kClientRequest,  ///< load generator -> home proxy: serve `document`
-    kIcpQuery,       ///< proxy -> peer: do you hold `document`?
-    kIcpReply,       ///< peer -> proxy: hit/miss answer to a query
-    kHttpRequest,    ///< proxy -> peer: transfer `document` (EA age piggybacked)
-    kHttpResponse,   ///< peer -> proxy: body (or not-found) + EA age
-    kFlush,          ///< driver -> proxy: drop all cached documents (fault injection)
-    kShutdown,       ///< driver -> proxy: drain and exit the worker loop
-    kCompletion,     ///< home proxy -> load generator: request fully resolved
-    kStatsRequest,   ///< stats poller -> proxy: publish a registry snapshot
-    kStatsReply,     ///< proxy -> stats poller: snapshot published (ack)
-  };
-
-  Kind kind = Kind::kClientRequest;
-  ProxyId from = 0;
-  ProxyId to = 0;
-  DocumentId document = 0;
-  /// Correlates replies/responses with the client request that caused them.
-  /// Assigned by the load generator; echoed by every hop.
-  std::uint64_t request_id = 0;
-  /// When the client request entered the system (trace timestamp in smoke
-  /// mode, clock reading in wall-clock mode). Echoed so the home proxy can
-  /// charge latency against the original arrival instant.
-  TimePoint stamp{};
-  UserId user = 0;
-
-  // kIcpReply / kHttpResponse payload.
-  bool hit = false;
-  bool found = true;
-  Bytes body_size = 0;
-  ResponseSource source = ResponseSource::kCache;
-  std::uint64_t version = 0;
-  TimePoint validated_at{};
-
-  // EA piggyback fields (nullopt under ad-hoc placement).
-  std::optional<ExpAge> requester_age;
-  std::optional<ExpAge> responder_age;
-
-  // Cross-hop trace header (DESIGN.md §13). The home proxy mints a root
-  // span id at arrival and every outgoing protocol message carries it plus
-  // the hop depth, so the remote side can link its spans under the root.
-  // 0 means "no trace identity" (tracing disabled, or a driver message).
-  std::uint64_t span_id = 0;
-  std::int32_t hop = -1;
-
-  // kStatsRequest only: also publish the recent-span flight ring (used by
-  // the flight recorder; plain poller ticks leave it false — cheaper).
-  bool want_spans = false;
-};
 
 /// Where envelopes go. The daemon group sends through this interface so a
 /// test can substitute a recording fake; InMemoryTransport is the real one.

@@ -6,25 +6,57 @@
 
 namespace eacache {
 
+HopDelays hop_delays(const LatencyModel& latency) {
+  HopDelays delays;
+  delays.probe = latency.icp_rtt / 2;
+  delays.reply = latency.icp_rtt - delays.probe;
+  delays.body = std::max(latency.remote_transfer() - delays.probe, msec(1));
+  delays.origin = std::max(latency.origin_transfer() - delays.probe, msec(1));
+  return delays;
+}
+
 Duration default_lookahead(const LatencyModel& latency) {
-  // The four shard-crossing hop delays the engine uses (DESIGN.md §14):
-  // probe out, reply back (these two sum to icp_rtt), fetch/parent request
-  // hop, and the body return (remote_transfer minus the request hop,
-  // clamped to one tick). The window must not exceed any of them.
-  const Duration probe = latency.icp_rtt / 2;
-  const Duration reply = latency.icp_rtt - probe;
-  const Duration body = std::max(latency.remote_transfer() - probe, msec(1));
-  return std::max(msec(1), std::min({probe, reply, probe, body}));
+  // Every shard-crossing message rides the probe, reply or body hop (the
+  // origin timer stays on its shard); the window must not exceed any of them.
+  const HopDelays delays = hop_delays(latency);
+  return std::max(msec(1), std::min({delays.probe, delays.reply, delays.body}));
 }
 
 std::vector<std::string> RunSpec::validate(RunTarget target) const {
-  // Group-level rules first (the old entry points, now internal): the
-  // daemon target layers its driver restrictions on top of the base set.
-  std::vector<std::string> errors =
-      target == RunTarget::kDaemon ? group.validate_for_daemon() : group.validate();
+  std::vector<std::string> errors = group.validate();
   const auto fail = [&errors](std::string message) { errors.push_back(std::move(message)); };
 
   if (target == RunTarget::kDaemon) {
+    // Features whose semantics live outside the ProxyNode protocol core the
+    // daemon executes.
+    if (group.routing == RoutingMode::kHashPartition) {
+      fail("daemon mode requires kCooperative routing (hash-partition forwarding "
+           "is a simulator baseline)");
+    }
+    if (group.discovery == DiscoveryMode::kDigest) {
+      fail("daemon mode requires kIcp discovery (digest refresh is scheduled by "
+           "the simulated clock)");
+    }
+    if (group.coherence.enabled) {
+      fail("daemon mode cannot run coherence: freshness checks consult the "
+           "simulated origin's version oracle");
+    }
+    if (group.prefetch.enabled) {
+      fail("daemon mode cannot run prefetching: speculative fetches are "
+           "orchestrated group-side in the simulator");
+    }
+    if (group.icp_loss_probability != 0.0) {
+      fail("daemon mode requires icp_loss_probability == 0: the in-memory wire "
+           "never drops, so the seeded loss draw has nothing to model");
+    }
+    if (group.pipeline.event_driven) {
+      fail("daemon mode has real concurrency; pipeline.event_driven selects the "
+           "simulator's staged driver and must stay off");
+    }
+    if (group.obs.trace_capacity > 0) {
+      fail("daemon mode does not record request spans: the span ring is "
+           "single-writer and belongs to the simulator's orchestrator");
+    }
     if (snapshot_period > Duration::zero()) {
       fail("snapshot_period is simulator machinery (virtual-clock snapshots); "
            "daemon runs must leave it zero");

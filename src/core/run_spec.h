@@ -6,11 +6,9 @@
 //   * SweepOptions         — per-sweep validate/obs overrides leaking into
 //                            per-run semantics.
 // RunSpec collapses the per-run knobs into one aggregate with ONE
-// validation entry point, `RunSpec::validate(target)`, which absorbs
-// `GroupConfig::validate()` and `GroupConfig::validate_for_daemon()` (both
-// remain as thin internal helpers for one release — new code should only
-// ever call the RunSpec entry point). The DESIGN.md §14 table maps every
-// old field to its new home.
+// validation entry point, `RunSpec::validate(target)`, which layers the
+// per-driver rules over `GroupConfig::validate()` (kept as the group-level
+// helper). The DESIGN.md §14 table maps every old field to its new home.
 //
 // Execution placement is explicit: ExecutionPolicy selects between the
 // classic single-queue discrete-event driver (shards == 0, the default —
@@ -54,10 +52,20 @@ struct ExecutionPolicy {
 /// Which driver family a RunSpec is being validated for.
 enum class RunTarget { kSimulation, kDaemon };
 
+/// The sharded engine's simulated delays (DESIGN.md §14), derived from the
+/// LatencyModel so a request's hops add up to its paper charge.
+struct HopDelays {
+  Duration probe{};   ///< ICP query out; sibling and parent request hops
+  Duration reply{};   ///< ICP reply back (probe + reply = icp_rtt)
+  Duration body{};    ///< body return: remote_transfer minus a request hop, >= 1 ms
+  Duration origin{};  ///< origin fetch: origin_transfer minus a request hop, >= 1 ms
+};
+
+[[nodiscard]] HopDelays hop_delays(const LatencyModel& latency);
+
 /// The smallest delay any shard-crossing message can have under `latency`:
-/// min of the probe hop, reply hop, fetch hop and body-return delays. This
-/// is the widest safe lookahead window (20 ms under paper defaults:
-/// icp_rtt/2).
+/// min of the probe, reply and body-return hops. This is the widest safe
+/// lookahead window (20 ms under paper defaults: icp_rtt/2).
 [[nodiscard]] Duration default_lookahead(const LatencyModel& latency);
 
 struct RunSpec {
@@ -91,8 +99,8 @@ struct RunSpec {
   /// Every violated rule, in a stable order; empty means the spec is
   /// runnable by the `target` driver family. THE validation entry point:
   /// aggregates the group-level rules (GroupConfig::validate), the
-  /// daemon-restriction rules (the old validate_for_daemon) and the
-  /// execution-policy rules in one pass.
+  /// features a live daemon cannot carry and the execution-policy rules in
+  /// one pass.
   [[nodiscard]] std::vector<std::string> validate(
       RunTarget target = RunTarget::kSimulation) const;
 

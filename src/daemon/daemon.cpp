@@ -1,26 +1,21 @@
 #include "daemon/daemon.h"
 
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "core/wall_timer.h"
+
 namespace eacache {
 
 namespace {
-double elapsed_ms(std::chrono::steady_clock::time_point since) {
-  const auto d = std::chrono::steady_clock::now() - since;
-  return std::chrono::duration<double, std::milli>(d).count();
-}
-}  // namespace
 
-namespace {
-
-/// The option-level rules shared by both validation overloads; group-level
-/// rules come from RunSpec::validate (or the deprecated GroupConfig path).
-void append_option_rules(const DaemonOptions& options, std::vector<std::string>& errors) {
+/// The rules a RunSpec alone cannot judge: pacing, telemetry and which
+/// faults the chosen mode can honour.
+void append_option_rules(const FaultPlan& faults, const DaemonOptions& options,
+                         std::vector<std::string>& errors) {
   const auto fail = [&errors](std::string message) { errors.push_back(std::move(message)); };
 
   if (options.mode == DaemonMode::kWallClock) {
@@ -35,7 +30,7 @@ void append_option_rules(const DaemonOptions& options, std::vector<std::string>&
       fail("load.requests_per_second must be positive and finite under "
            "kFixedRate pacing (zero-rate load never submits a request)");
     }
-    if (!options.faults.empty()) {
+    if (!faults.empty()) {
       fail("wall-clock daemon runs cannot honour a FaultPlan: its timestamps "
            "are simulated trace instants, not wall instants");
     }
@@ -44,7 +39,7 @@ void append_option_rules(const DaemonOptions& options, std::vector<std::string>&
            "submits a request)");
     }
   }
-  if (!options.faults.outages.empty()) {
+  if (!faults.outages.empty()) {
     fail("peer outages are simulator-only fault injection (the daemon's "
          "in-memory wire has no loss hook); only flushes are supported");
   }
@@ -75,7 +70,7 @@ void append_option_rules(const DaemonOptions& options, std::vector<std::string>&
     fail("telemetry.flight_out needs telemetry.flight_capacity > 0 (an empty "
          "ring would dump nothing)");
   }
-  if (!options.faults.flight_dumps.empty() && telemetry.flight_out.empty()) {
+  if (!faults.flight_dumps.empty() && telemetry.flight_out.empty()) {
     fail("FaultPlan flight_dumps need telemetry.flight_out (and a non-zero "
          "flight_capacity) to land anywhere");
   }
@@ -94,41 +89,13 @@ void append_option_rules(const DaemonOptions& options, std::vector<std::string>&
 
 std::vector<std::string> validate_daemon_run(const RunSpec& spec, const DaemonOptions& options) {
   std::vector<std::string> errors = spec.validate(RunTarget::kDaemon);
-  if (!options.faults.empty()) {
-    errors.push_back(
-        "faults belong on the RunSpec (RunSpec::faults); leave "
-        "DaemonOptions::faults empty when running through the RunSpec API");
-  }
-  // Option rules see the fault plan the run would actually use.
-  DaemonOptions effective = options;
-  effective.faults = spec.faults;
-  append_option_rules(effective, errors);
-  return errors;
-}
-
-std::vector<std::string> validate_daemon_run(const GroupConfig& config,
-                                             const DaemonOptions& options) {
-  std::vector<std::string> errors = config.validate_for_daemon();
-  append_option_rules(options, errors);
+  append_option_rules(spec.faults, options, errors);
   return errors;
 }
 
 void validate_daemon_run_or_throw(const RunSpec& spec, const DaemonOptions& options) {
   const std::vector<std::string> errors = validate_daemon_run(spec, options);
   if (!errors.empty()) throw_daemon_errors(errors);
-}
-
-void validate_daemon_run_or_throw(const GroupConfig& config, const DaemonOptions& options) {
-  const std::vector<std::string> errors = validate_daemon_run(config, options);
-  if (!errors.empty()) throw_daemon_errors(errors);
-}
-
-RunResult run_daemon(const Trace& trace, const RunSpec& spec, const DaemonOptions& options,
-                     LoadGenReport* report, PhaseTimings* timings) {
-  validate_daemon_run_or_throw(spec, options);
-  DaemonOptions effective = options;
-  effective.faults = spec.faults;
-  return run_daemon(trace, spec.group, effective, report, timings);
 }
 
 namespace {
@@ -171,10 +138,10 @@ class PeekedSource final : public TraceSource {
 /// run_daemon overloads funnel here (the Trace one through
 /// VectorTraceSource, so materialized and streamed runs are the same code
 /// path end to end).
-RunResult drive_daemon(TraceSource& source, TimePoint trace_start,
-                       const GroupConfig& config, const DaemonOptions& options,
-                       LoadGenReport* report, PhaseTimings* timings) {
-  const auto drive_started = std::chrono::steady_clock::now();
+RunResult drive_daemon(TraceSource& source, TimePoint trace_start, const RunSpec& spec,
+                       const DaemonOptions& options, LoadGenReport* report,
+                       PhaseTimings* timings) {
+  const WallTimer drive_timer;
 
   // The clock seam: manual time pinned to trace stamps for deterministic
   // smoke replay, a steady clock anchored at the trace start for live runs.
@@ -183,7 +150,7 @@ RunResult drive_daemon(TraceSource& source, TimePoint trace_start,
   const bool smoke = options.mode == DaemonMode::kSmokeReplay;
   Clock& clock = smoke ? static_cast<Clock&>(fake) : static_cast<Clock&>(steady);
 
-  DaemonGroup group(config, clock, options.mode, options.telemetry.flight_capacity);
+  DaemonGroup group(spec.group, clock, options.mode, options.telemetry.flight_capacity);
   group.start();
 
   // Telemetry plane: poller + exporters (wall-clock only, validated above)
@@ -221,43 +188,39 @@ RunResult drive_daemon(TraceSource& source, TimePoint trace_start,
     };
   }
 
-  LoadGen gen(group, clock, smoke ? &fake : nullptr, options.mode, load,
-              options.faults);
+  LoadGen gen(group, clock, smoke ? &fake : nullptr, options.mode, load, spec.faults);
   const LoadGenReport gen_report = gen.replay(source);
   if (server) server->stop();
   if (poller) poller->stop();
   group.stop();
   if (report != nullptr) *report = gen_report;
-  if (timings != nullptr) timings->sim_ms = elapsed_ms(drive_started);
+  if (timings != nullptr) timings->sim_ms = drive_timer.elapsed_ms();
 
-  const auto report_started = std::chrono::steady_clock::now();
+  const WallTimer report_timer;
   RunResult result = group.collect_result();
-  if (timings != nullptr) timings->report_ms = elapsed_ms(report_started);
+  if (timings != nullptr) timings->report_ms = report_timer.elapsed_ms();
   return result;
 }
 
 }  // namespace
 
-RunResult run_daemon(const Trace& trace, const GroupConfig& config,
-                     const DaemonOptions& options, LoadGenReport* report,
-                     PhaseTimings* timings) {
-  validate_daemon_run_or_throw(config, options);
+RunResult run_daemon(const Trace& trace, const RunSpec& spec, const DaemonOptions& options,
+                     LoadGenReport* report, PhaseTimings* timings) {
+  validate_daemon_run_or_throw(spec, options);
   if (!is_time_ordered(trace.requests)) {
     throw std::invalid_argument("run_daemon: trace must be time-ordered");
   }
   const TimePoint trace_start = trace.empty() ? kSimEpoch : trace.requests.front().at;
   VectorTraceSource source(trace);
-  return drive_daemon(source, trace_start, config, options, report, timings);
+  return drive_daemon(source, trace_start, spec, options, report, timings);
 }
 
 RunResult run_daemon(TraceSource& source, const RunSpec& spec,
                      const DaemonOptions& options, LoadGenReport* report,
                      PhaseTimings* timings) {
   validate_daemon_run_or_throw(spec, options);
-  DaemonOptions effective = options;
-  effective.faults = spec.faults;
   PeekedSource peeked(source);
-  return drive_daemon(peeked, peeked.start(), spec.group, effective, report, timings);
+  return drive_daemon(peeked, peeked.start(), spec, options, report, timings);
 }
 
 }  // namespace eacache

@@ -57,10 +57,6 @@ struct TelemetryOptions {
 struct DaemonOptions {
   DaemonMode mode = DaemonMode::kSmokeReplay;
   LoadGenOptions load;
-  /// Declarative faults. Only flushes + flight-dump instants, and only in
-  /// smoke replay (timestamps are trace instants; a wall-clock run cannot
-  /// honour them) — anything else is rejected by validate_daemon_run.
-  FaultPlan faults;
   TelemetryOptions telemetry;
 };
 
@@ -68,21 +64,16 @@ struct DaemonOptions {
 /// `RunSpec::validate(RunTarget::kDaemon)` first (the one validation entry
 /// point — group rules plus the per-run knobs a daemon cannot carry), then
 /// the option rules (zero-rate or non-positive pacing, wall-clock
-/// FaultPlans, outage injection, non-positive drain timeout). Empty means
-/// runnable. Faults belong on the RunSpec; DaemonOptions::faults must be
-/// left empty with this overload.
+/// FaultPlans, outage injection, non-positive drain timeout). The fault
+/// plan is `spec.faults`: only flushes and flight-dump instants, and only
+/// in smoke replay (its timestamps are trace instants). Empty means
+/// runnable.
 [[nodiscard]] std::vector<std::string> validate_daemon_run(const RunSpec& spec,
                                                            const DaemonOptions& options);
 
-/// DEPRECATED pre-RunSpec shape, kept one release: wraps `config` into a
-/// RunSpec and validates with DaemonOptions::faults still honoured.
-[[nodiscard]] std::vector<std::string> validate_daemon_run(const GroupConfig& config,
-                                                           const DaemonOptions& options);
-
-/// Throwing wrappers over validate_daemon_run (std::invalid_argument with
+/// Throwing wrapper over validate_daemon_run (std::invalid_argument with
 /// every violation "; "-joined), mirroring RunSpec::validate_or_throw.
 void validate_daemon_run_or_throw(const RunSpec& spec, const DaemonOptions& options);
-void validate_daemon_run_or_throw(const GroupConfig& config, const DaemonOptions& options);
 
 /// Run `trace` through a fresh daemon group built from `spec.group`, with
 /// `spec.faults` as the fault plan. The trace must be time-ordered. When
@@ -102,12 +93,6 @@ void validate_daemon_run_or_throw(const GroupConfig& config, const DaemonOptions
 /// VectorTraceSource, and the smoke-replay equality between the two is a
 /// ctest (DaemonWorkloadTest).
 [[nodiscard]] RunResult run_daemon(TraceSource& source, const RunSpec& spec,
-                                   const DaemonOptions& options = {},
-                                   LoadGenReport* report = nullptr,
-                                   PhaseTimings* timings = nullptr);
-
-/// DEPRECATED pre-RunSpec shape, kept one release.
-[[nodiscard]] RunResult run_daemon(const Trace& trace, const GroupConfig& config,
                                    const DaemonOptions& options = {},
                                    LoadGenReport* report = nullptr,
                                    PhaseTimings* timings = nullptr);

@@ -1,11 +1,10 @@
 #include "daemon/daemon_group.h"
 
-#include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "common/hash.h"
+#include "core/run_spec.h"
+#include "core/wall_timer.h"
 
 namespace eacache {
 
@@ -13,76 +12,27 @@ namespace {
 
 constexpr std::chrono::milliseconds kMailboxPoll{20};
 
-/// Simulated-epoch-relative milliseconds, the span-schema time base.
-std::int64_t span_ms(TimePoint at) {
-  return static_cast<std::int64_t>((at - kSimEpoch).count());
-}
-
-/// Per-cache byte budgets, identical to CacheGroup's split: equal shares of
-/// the aggregate unless explicit weights are given.
-std::vector<Bytes> split_budgets(const GroupConfig& config, std::size_t total_caches) {
-  std::vector<Bytes> budgets(total_caches, config.aggregate_capacity / total_caches);
-  if (!config.capacity_weights.empty()) {
-    double weight_sum = 0.0;
-    for (const double w : config.capacity_weights) weight_sum += w;
-    for (std::size_t p = 0; p < total_caches; ++p) {
-      budgets[p] = static_cast<Bytes>(static_cast<double>(config.aggregate_capacity) *
-                                      config.capacity_weights[p] / weight_sum);
-    }
-  }
-  return budgets;
+/// Validation gate for the constructor: runs before any member that depends
+/// on the config (the group view builds the topology).
+const GroupConfig& validated(const GroupConfig& config) {
+  RunSpec spec;
+  spec.group = config;
+  spec.validate_or_throw(RunTarget::kDaemon);
+  return config;
 }
 
 }  // namespace
 
 DaemonGroup::DaemonGroup(const GroupConfig& config, Clock& clock, DaemonMode mode,
                          std::size_t flight_capacity)
-    : config_(config),
+    : group_(validated(config), {}),
       clock_(clock),
       mode_(mode),
-      placement_(config.placement_override
-                     ? config.placement_override
-                     : std::shared_ptr<const PlacementPolicy>(
-                           make_placement(config.placement, config.ea_hysteresis))),
-      wire_(config.num_proxies + 2) {
-  {
-    const std::vector<std::string> errors = config_.validate_for_daemon();
-    if (!errors.empty()) {
-      std::string message = "invalid daemon GroupConfig: ";
-      for (std::size_t i = 0; i < errors.size(); ++i) {
-        if (i > 0) message += "; ";
-        message += errors[i];
-      }
-      throw std::invalid_argument(message);
-    }
-  }
-
-  const std::size_t total = config_.num_proxies;
-  const std::vector<Bytes> budgets = split_budgets(config_, total);
+      wire_(group_.topology.num_proxies() + 2) {
+  const std::size_t total = group_.topology.num_proxies();
   workers_.reserve(total);
   for (std::size_t p = 0; p < total; ++p) {
-    auto worker = std::make_unique<Worker>();
-    worker->registry = std::make_unique<MetricRegistry>(config_.obs.registry);
-    worker->proxy = std::make_unique<ProxyCache>(
-        static_cast<ProxyId>(p), budgets[p], make_policy(config_.replacement), config_.window,
-        placement_.get(), /*digest_config=*/nullptr, worker->registry.get());
-    worker->transport = Transport(config_.wire);
-    worker->transport.bind_registry(worker->registry.get(), total);
-    if (worker->registry->enabled()) {
-      // Same group-wide metric names CacheGroup registers, so the merged
-      // registry dump is name-compatible with a simulated run's.
-      worker->obs_requests = worker->registry->counter("group.requests");
-      worker->obs_icp_queries = worker->registry->counter("group.icp.queries");
-      worker->obs_icp_replies = worker->registry->counter("group.icp.replies");
-      worker->obs_icp_losses = worker->registry->counter("group.icp.losses");
-      worker->obs_sibling_fetches = worker->registry->counter("group.sibling_fetches");
-      worker->obs_parent_fetches = worker->registry->counter("group.parent_fetches");
-      worker->obs_origin_fetches = worker->registry->counter("group.origin_fetches");
-      worker->obs_request_bytes = worker->registry->histogram(
-          "group.request_bytes", 0.0, static_cast<double>(kMiB), 64);
-    }
-    worker->flight = TraceLog(flight_capacity);
-    workers_.push_back(std::move(worker));
+    workers_.push_back(std::make_unique<Worker>(static_cast<ProxyId>(p), group_, flight_capacity));
   }
 }
 
@@ -111,7 +61,7 @@ void DaemonGroup::stop() {
 }
 
 ProxyId DaemonGroup::home_proxy(UserId user) const {
-  return static_cast<ProxyId>(mix64(user) % workers_.size());
+  return home_proxy_in(group_.topology, user);
 }
 
 TimePoint DaemonGroup::step_now(const WireMessage& message) const {
@@ -129,85 +79,74 @@ void DaemonGroup::worker_main(std::size_t index) {
       case WireMessage::Kind::kShutdown:
         return;
       case WireMessage::Kind::kFlush: {
-        w.proxy->flush(now);
+        w.node.cache().flush(now);
         // Flushes are acknowledged so the closed-loop driver can order them
         // against requests served by OTHER workers (mailbox FIFO only
         // orders messages to the same endpoint).
-        PendingRequest ack;
-        ack.id = message->request_id;
-        ack.document = message->document;
-        complete(w, ack);
+        WireMessage ack = *message;
+        ack.kind = WireMessage::Kind::kCompletion;
+        ack.from = w.node.id();
+        ack.to = load_endpoint();
+        wire_.send(ack.to, ack);
         break;
       }
-      case WireMessage::Kind::kClientRequest:
-        handle_client_request(w, *message, now);
-        break;
-      case WireMessage::Kind::kIcpQuery:
-        handle_icp_query(w, *message, now);
-        break;
-      case WireMessage::Kind::kIcpReply:
-        handle_icp_reply(w, *message, now);
-        break;
-      case WireMessage::Kind::kHttpRequest:
-        handle_http_request(w, *message, now);
-        break;
-      case WireMessage::Kind::kHttpResponse:
-        handle_http_response(w, *message, now);
-        break;
       case WireMessage::Kind::kStatsRequest:
         handle_stats_request(w, *message);
         break;
       case WireMessage::Kind::kCompletion:
       case WireMessage::Kind::kStatsReply:
         break;  // only the load/stats endpoints receive these
+      default:
+        run_node(w, *message, now);
     }
   }
 }
 
-std::uint64_t DaemonGroup::mint_span(Worker& w) {
-  return ((static_cast<std::uint64_t>(w.proxy->id()) + 1) << 40) | ++w.next_span;
-}
-
-void DaemonGroup::record_complete_span(Worker& w, const PendingRequest& ctx, TimePoint now,
-                                       std::int64_t outcome) {
-  if (!w.flight.enabled() || ctx.root_span == 0) return;
-  SpanEvent done;
-  done.request = ctx.id;
-  done.at_ms = span_ms(now);
-  done.document = ctx.document;
-  done.value = outcome;
-  done.span = mint_span(w);
-  done.parent_span = static_cast<std::int64_t>(ctx.root_span);
-  done.proxy = w.proxy->id();
-  done.hop = 0;
-  done.kind = SpanKind::kComplete;
-  w.flight.record(done);
+void DaemonGroup::run_node(Worker& w, const WireMessage& message, TimePoint now) {
+  w.node.handle(message, now, w.out);
+  // By index: an origin timer runs inline and may append more messages.
+  for (std::size_t i = 0; i < w.out.size(); ++i) {
+    WireMessage sent = w.out[i];
+    switch (sent.kind) {
+      case WireMessage::Kind::kOriginFetch:
+        w.node.handle(sent, now, w.out);
+        break;
+      case WireMessage::Kind::kCompletion:
+        sent.to = load_endpoint();
+        wire_.send(sent.to, sent);
+        break;
+      default:
+        wire_.send(sent.to, sent);
+    }
+  }
+  w.out.clear();
 }
 
 void DaemonGroup::handle_stats_request(Worker& w, const WireMessage& message) {
   {
     MutexLock lock(w.stats.mutex);
     WorkerStatsSample& sample = w.stats.data;
-    sample.proxy = w.proxy->id();
-    sample.registry = w.registry->snapshot();
-    sample.metrics = w.metrics;
-    sample.transport = w.transport.stats();
-    sample.in_flight = w.pending.size();
-    sample.resident_bytes = w.proxy->store().resident_bytes();
-    sample.resident_docs = w.proxy->store().resident_count();
+    const ProxyCache& proxy = w.node.cache();
+    sample.proxy = proxy.id();
+    sample.registry = w.accounting.registry.snapshot();
+    sample.metrics = w.accounting.metrics;
+    sample.transport = w.accounting.transport.stats();
+    sample.in_flight = w.node.in_flight();
+    sample.resident_bytes = proxy.store().resident_bytes();
+    sample.resident_docs = proxy.store().resident_count();
     // peek_: a telemetry sample must not bump ea.age_queries (obs-is-free).
-    sample.expiration_age = w.proxy->peek_expiration_age(clock_.now());
-    sample.spans_recorded = w.flight.recorded();
-    sample.spans_dropped = w.flight.dropped();
+    sample.expiration_age = proxy.peek_expiration_age(clock_.now());
+    sample.spans_recorded = w.accounting.flight.recorded();
+    sample.spans_dropped = w.accounting.flight.dropped();
     if (message.want_spans) {
-      sample.spans = w.flight.events();
+      sample.spans = w.accounting.flight.events();
     } else {
       sample.spans.clear();
     }
   }
   WireMessage ack;
   ack.kind = WireMessage::Kind::kStatsReply;
-  ack.from = w.proxy->id();
+  ack.from = w.node.id();
   ack.to = message.from;
   ack.request_id = message.request_id;  // the sampler's epoch stamp
   wire_.send(ack.to, ack);
@@ -227,13 +166,12 @@ std::optional<std::vector<DaemonGroup::WorkerStatsSample>> DaemonGroup::sample_s
     wire_.send(request.to, request);
   }
 
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const Deadline deadline(timeout);
   std::vector<bool> acked(workers_.size(), false);
   std::size_t acks = 0;
   while (acks < workers_.size()) {
-    const auto remaining = deadline - std::chrono::steady_clock::now();
-    if (remaining <= std::chrono::nanoseconds::zero()) return std::nullopt;
-    const std::optional<WireMessage> reply = wire_.receive(stats_endpoint(), remaining);
+    if (deadline.expired()) return std::nullopt;
+    const std::optional<WireMessage> reply = wire_.receive(stats_endpoint(), deadline.remaining());
     if (!reply) return std::nullopt;
     if (reply->kind != WireMessage::Kind::kStatsReply || reply->request_id != epoch) {
       continue;  // straggler from a timed-out earlier round
@@ -253,313 +191,19 @@ std::optional<std::vector<DaemonGroup::WorkerStatsSample>> DaemonGroup::sample_s
   return samples;
 }
 
-void DaemonGroup::handle_client_request(Worker& w, const WireMessage& message, TimePoint now) {
-  w.proxy->note_client_request();
-  w.obs_requests.inc();
-  w.obs_request_bytes.observe(static_cast<double>(message.body_size));
-
-  PendingRequest ctx;
-  ctx.id = message.request_id;
-  ctx.document = message.document;
-  ctx.size = message.body_size;
-  ctx.stamp = message.stamp;
-
-  if (w.flight.enabled()) {
-    // Root of this request's cross-hop span tree (hop 0, no parent).
-    ctx.root_span = mint_span(w);
-    SpanEvent arrival;
-    arrival.request = ctx.id;
-    arrival.at_ms = span_ms(now);
-    arrival.document = ctx.document;
-    arrival.value = static_cast<std::int64_t>(ctx.size);
-    arrival.span = ctx.root_span;
-    arrival.proxy = w.proxy->id();
-    arrival.hop = 0;
-    arrival.kind = SpanKind::kArrival;
-    w.flight.record(arrival);
-  }
-
-  // 1. Local lookup: a promoting hit if resident.
-  if (const auto size = w.proxy->serve_local(message.document, now)) {
-    w.metrics.record(RequestOutcome::kLocalHit, *size, config_.latency.local_hit);
-    if (w.flight.enabled()) {
-      SpanEvent hit;
-      hit.request = ctx.id;
-      hit.at_ms = span_ms(now);
-      hit.document = ctx.document;
-      hit.value = static_cast<std::int64_t>(*size);
-      hit.span = mint_span(w);
-      hit.parent_span = static_cast<std::int64_t>(ctx.root_span);
-      hit.proxy = w.proxy->id();
-      hit.hop = 0;
-      hit.kind = SpanKind::kLocalHit;
-      w.flight.record(hit);
-    }
-    record_complete_span(w, ctx, now, 0);  // RequestOutcome::kLocalHit
-    complete(w, ctx);
-    return;
-  }
-
-  // 2. ICP fan-out to every sibling; replies drive the rest of the request
-  // from handle_icp_reply.
-  if (workers_.size() == 1) {
-    resolve_origin(w, ctx, now);
-    return;
-  }
-  ctx.awaiting_replies = workers_.size() - 1;
-  const auto [it, inserted] = w.pending.emplace(ctx.id, std::move(ctx));
-  if (!inserted) throw std::logic_error("DaemonGroup: duplicate request id");
-  for (std::size_t target = 0; target < workers_.size(); ++target) {
-    if (target == w.proxy->id()) continue;
-    const auto to = static_cast<ProxyId>(target);
-    w.transport.record_icp_query(IcpQuery{w.proxy->id(), to, message.document});
-    w.obs_icp_queries.inc();
-    WireMessage query;
-    query.kind = WireMessage::Kind::kIcpQuery;
-    query.from = w.proxy->id();
-    query.to = to;
-    query.document = message.document;
-    query.request_id = message.request_id;
-    query.stamp = message.stamp;
-    // Cross-hop trace header: the peer's probe span links under our root.
-    query.span_id = it->second.root_span;
-    query.hop = 1;
-    wire_.send(to, query);
-  }
-}
-
-void DaemonGroup::handle_icp_query(Worker& w, const WireMessage& message, TimePoint now) {
-  (void)now;
-  // Presence probe, no cache-state side effects — same split CacheGroup
-  // uses (contains + note_icp_answer rather than answer_icp, so future
-  // freshness-aware daemons keep the same seam).
-  const bool hit = w.proxy->store().contains(message.document);
-  w.proxy->note_icp_answer(hit);
-  w.transport.record_icp_reply(IcpReply{w.proxy->id(), message.from, message.document, hit});
-  w.obs_icp_replies.inc();
-  if (w.flight.enabled() && message.span_id != 0) {
-    SpanEvent probe;
-    probe.request = message.request_id;
-    probe.at_ms = span_ms(now);
-    probe.document = message.document;
-    probe.span = mint_span(w);
-    probe.parent_span = static_cast<std::int64_t>(message.span_id);
-    probe.proxy = w.proxy->id();
-    probe.peer = static_cast<std::int32_t>(message.from);
-    probe.hop = message.hop;
-    probe.kind = SpanKind::kIcpProbe;
-    probe.flag = hit ? 1 : 0;
-    w.flight.record(probe);
-  }
-  WireMessage reply = message;
-  reply.kind = WireMessage::Kind::kIcpReply;
-  reply.from = w.proxy->id();
-  reply.to = message.from;
-  reply.hit = hit;
-  wire_.send(reply.to, reply);
-}
-
-void DaemonGroup::handle_icp_reply(Worker& w, const WireMessage& message, TimePoint now) {
-  const auto it = w.pending.find(message.request_id);
-  if (it == w.pending.end()) return;  // request already resolved (shutdown race)
-  PendingRequest& ctx = it->second;
-  --ctx.awaiting_replies;
-  if (message.hit) ctx.hits.push_back(message.from);
-  if (ctx.awaiting_replies > 0) return;
-
-  // All replies in: fetch best-candidate-first by ring distance, exactly
-  // CacheGroup::sort_by_ring_distance's order.
-  ctx.candidates = std::move(ctx.hits);
-  const std::size_t n = workers_.size();
-  const ProxyId requester = w.proxy->id();
-  std::sort(ctx.candidates.begin(), ctx.candidates.end(), [&](ProxyId a, ProxyId b) {
-    return (a + n - requester) % n < (b + n - requester) % n;
-  });
-  advance_candidates(w, ctx, now);
-}
-
-void DaemonGroup::advance_candidates(Worker& w, PendingRequest& ctx, TimePoint now) {
-  if (ctx.next_candidate >= ctx.candidates.size()) {
-    resolve_origin(w, ctx, now);
-    w.pending.erase(ctx.id);
-    return;
-  }
-  const ProxyId responder = ctx.candidates[ctx.next_candidate++];
-
-  HttpRequest fetch;
-  fetch.from = w.proxy->id();
-  fetch.to = responder;
-  fetch.document = ctx.document;
-  if (placement_->kind() != PlacementKind::kAdHoc) {
-    fetch.requester_age = w.proxy->expiration_age(now);
-  }
-  w.transport.record_http_request(fetch);
-  w.obs_sibling_fetches.inc();
-
-  WireMessage message;
-  message.kind = WireMessage::Kind::kHttpRequest;
-  message.from = fetch.from;
-  message.to = responder;
-  message.document = ctx.document;
-  message.request_id = ctx.id;
-  message.stamp = ctx.stamp;
-  message.requester_age = fetch.requester_age;
-  message.span_id = ctx.root_span;
-  message.hop = 1;
-  wire_.send(responder, message);
-}
-
-void DaemonGroup::handle_http_request(Worker& w, const WireMessage& message, TimePoint now) {
-  HttpRequest fetch;
-  fetch.from = message.from;
-  fetch.to = w.proxy->id();
-  fetch.document = message.document;
-  fetch.requester_age = message.requester_age;
-  // serve_fetch (not serve_remote): in wall-clock mode the copy a positive
-  // ICP reply advertised may be evicted before this fetch lands, and the
-  // responder then answers found=false instead of asserting.
-  const HttpResponse response = w.proxy->serve_fetch(fetch, now);
-  w.transport.record_http_response(response);
-  if (w.flight.enabled() && message.span_id != 0) {
-    SpanEvent serve;
-    serve.request = message.request_id;
-    serve.at_ms = span_ms(now);
-    serve.document = message.document;
-    serve.value = static_cast<std::int64_t>(response.body_size);
-    serve.span = mint_span(w);
-    serve.parent_span = static_cast<std::int64_t>(message.span_id);
-    serve.proxy = w.proxy->id();
-    serve.peer = static_cast<std::int32_t>(message.from);
-    serve.hop = message.hop;
-    serve.kind = SpanKind::kSiblingFetch;
-    serve.flag = response.found ? 1 : 0;
-    w.flight.record(serve);
-  }
-
-  WireMessage out = message;
-  out.kind = WireMessage::Kind::kHttpResponse;
-  out.from = w.proxy->id();
-  out.to = message.from;
-  out.found = response.found;
-  out.body_size = response.body_size;
-  out.source = response.source;
-  out.responder_age = response.responder_age;
-  out.version = response.version;
-  out.validated_at = response.validated_at;
-  wire_.send(out.to, out);
-}
-
-void DaemonGroup::handle_http_response(Worker& w, const WireMessage& message, TimePoint now) {
-  const auto it = w.pending.find(message.request_id);
-  if (it == w.pending.end()) return;
-  PendingRequest& ctx = it->second;
-
-  if (!message.found) {
-    ctx.probe_penalty += config_.latency.failed_probe;
-    advance_candidates(w, ctx, now);
-    return;
-  }
-
-  w.proxy->consider_caching(Document{ctx.document, message.body_size, message.version},
-                            message.responder_age, now);
-  w.metrics.record(RequestOutcome::kRemoteHit, message.body_size,
-                   config_.latency.remote_hit + ctx.probe_penalty);
-  record_complete_span(w, ctx, now, 1);  // RequestOutcome::kRemoteHit
-  complete(w, ctx);
-  w.pending.erase(message.request_id);
-}
-
-void DaemonGroup::resolve_origin(Worker& w, PendingRequest& ctx, TimePoint now) {
-  const Document document{ctx.document, ctx.size, 0};
-  w.transport.record_origin_fetch(w.proxy->id(), document.size);
-  w.obs_origin_fetches.inc();
-  if (!w.proxy->store().contains(document.id)) {
-    w.proxy->cache_after_origin_fetch(document, now);
-  }
-  if (w.flight.enabled() && ctx.root_span != 0) {
-    SpanEvent origin;
-    origin.request = ctx.id;
-    origin.at_ms = span_ms(now);
-    origin.document = ctx.document;
-    origin.value = static_cast<std::int64_t>(document.size);
-    origin.span = mint_span(w);
-    origin.parent_span = static_cast<std::int64_t>(ctx.root_span);
-    origin.proxy = w.proxy->id();
-    origin.hop = 0;
-    origin.kind = SpanKind::kOriginFetch;
-    w.flight.record(origin);
-  }
-  w.metrics.record(RequestOutcome::kMiss, document.size,
-                   config_.latency.miss + ctx.probe_penalty);
-  record_complete_span(w, ctx, now, 2);  // RequestOutcome::kMiss
-  complete(w, ctx);
-}
-
-void DaemonGroup::complete(Worker& w, const PendingRequest& ctx) {
-  WireMessage done;
-  done.kind = WireMessage::Kind::kCompletion;
-  done.from = w.proxy->id();
-  done.to = load_endpoint();
-  done.document = ctx.document;
-  done.request_id = ctx.id;
-  wire_.send(done.to, done);
-}
-
 RunResult DaemonGroup::collect_result() {
   if (started_ && !stopped_) {
     throw std::logic_error("DaemonGroup::collect_result: stop() the workers first");
   }
-  RunResult result;
-
-  // Merge the per-worker shards. Safe without locks: stop() joined every
-  // worker, and thread join orders all their writes before these reads.
-  MetricRegistry registry(config_.obs.registry);
+  // Safe without locks: stop() joined every worker, and thread join orders
+  // all their writes before these reads.
+  std::vector<const NodeAccounting*> units;
+  std::vector<const ProxyNode*> nodes;
   for (const auto& worker : workers_) {
-    result.metrics.merge(worker->metrics);
-    result.transport.merge(worker->transport.stats());
-    registry.merge(*worker->registry);
+    units.push_back(&worker->accounting);
+    nodes.push_back(&worker->node);
   }
-
-  // End-of-run gauges, mirroring CacheGroup::export_final_gauges.
-  if (registry.enabled()) {
-    for (const auto& worker : workers_) {
-      const std::string prefix = "proxy." + std::to_string(worker->proxy->id()) + ".";
-      registry.gauge(prefix + "resident_bytes")
-          .set(static_cast<double>(worker->proxy->store().resident_bytes()));
-      registry.gauge(prefix + "resident_docs")
-          .set(static_cast<double>(worker->proxy->store().resident_count()));
-    }
-  }
-
-  double sum_ms = 0.0;
-  std::size_t finite = 0;
-  std::size_t total_copies = 0;
-  std::unordered_map<DocumentId, bool> seen;
-  for (const auto& worker : workers_) {
-    const ProxyCache& proxy = *worker->proxy;
-    const ExpAge age = proxy.contention().lifetime_average();
-    if (!age.is_infinite()) {
-      sum_ms += age.millis();
-      ++finite;
-    }
-    result.per_cache_expiration_age.push_back(age);
-    result.proxy_stats.push_back(proxy.stats());
-    total_copies += proxy.store().resident_count();
-    for (const DocumentId id : proxy.store().resident_ids()) seen[id] = true;
-  }
-  result.average_cache_expiration_age =
-      finite == 0 ? ExpAge::infinite()
-                  : ExpAge::from_millis(sum_ms / static_cast<double>(finite));
-  result.total_resident_copies = total_copies;
-  result.unique_resident_documents = seen.size();
-  result.replication_factor =
-      seen.empty() ? 0.0
-                   : static_cast<double>(total_copies) / static_cast<double>(seen.size());
-  if (registry.enabled()) {
-    registry.gauge("group.replication_factor").set(result.replication_factor);
-  }
-  result.registry = registry.snapshot();
-  return result;
+  return collect_run_result(group_, units, nodes);
 }
 
 }  // namespace eacache

@@ -2,32 +2,30 @@
 // worker thread each, exchanging protocol messages over an in-memory wire
 // instead of being orchestrated by the simulator.
 //
+// Every worker executes one ProxyNode (core/proxy_node.h), the protocol
+// core the sharded engine runs too: it hands the node each message from
+// its mailbox, puts the node's sends on the wire, runs its origin timers
+// inline and forwards its completions to the load generator's endpoint.
+// Flat and hierarchical groups alike: a parent cache is one more worker.
+//
 // Concurrency design (checked by the DESIGN.md §11 analysis stack and the
 // TSan pipeline's daemon stage):
-//  * SHARE NOTHING between workers. Each worker exclusively owns its
-//    ProxyCache, its accounting Transport, its GroupMetrics and its
-//    MetricRegistry — no per-cache locks exist because no cache is ever
-//    touched by two threads. The only shared mutable state is the
-//    InMemoryTransport's locked mailboxes and the Clock (both annotated).
-//  * All cross-worker interaction is message passing: a local miss fans out
-//    kIcpQuery envelopes, peers answer kIcpReply, the home worker fetches
-//    over kHttpRequest/kHttpResponse. Workers never block waiting for a
-//    specific peer — every handler runs to completion and returns to the
-//    mailbox loop, so mutual probing cannot deadlock.
-//  * Per-request progress lives in a per-worker table keyed by request id
-//    (requests are pinned to their home worker, so the table is single-
-//    owner too). Many requests can be in flight at once in wall-clock mode.
-//  * collect_result() merges the per-worker shards AFTER stop() has joined
+//  * SHARE NOTHING between workers. Each worker exclusively owns its node
+//    (cache plus per-request state) and its accounting unit (transport,
+//    GroupMetrics, MetricRegistry, flight ring) — no per-cache locks exist
+//    because no cache is ever touched by two threads. The only shared
+//    mutable state is the InMemoryTransport's locked mailboxes and the
+//    Clock (both annotated).
+//  * All cross-worker interaction is message passing. Workers never block
+//    waiting for a specific peer — every handler runs to completion and
+//    returns to the mailbox loop, so mutual probing cannot deadlock.
+//  * collect_result() merges the per-worker units AFTER stop() has joined
 //    every thread; thread join is the only synchronization the merge needs.
 //
-// The serve semantics deliberately mirror CacheGroup::serve for the config
-// subset daemon-run validation admits (flat ICP group, no coherence /
-// prefetch / losses): local lookup -> ICP fan-out -> ring-distance-ordered
-// sibling fetch with EA piggybacking -> origin fallback, charging the
-// paper's per-outcome aggregate latencies. In closed-loop smoke replay
-// (FakeClock pinned to trace stamps) the run is deterministic and its
-// RunResult serializes byte-identically to run_simulation's — the
-// extraction proof tests/daemon/daemon_vs_sim_test.cpp pins that.
+// In closed-loop smoke replay (FakeClock pinned to trace stamps) the run is
+// deterministic and its RunResult serializes byte-identically to the
+// classic simulator's — tests/daemon/daemon_vs_sim_test.cpp pins that for
+// flat, 2-level and 3-level groups.
 #pragma once
 
 #include <chrono>
@@ -35,12 +33,12 @@
 #include <memory>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "core/clock.h"
 #include "core/inmemory_transport.h"
+#include "core/proxy_node.h"
 #include "core/run_result.h"
 #include "group/cache_group.h"
 #include "obs/trace_log.h"
@@ -75,7 +73,7 @@ class DaemonGroup {
     std::uint64_t spans_dropped = 0;
   };
 
-  /// `config` must satisfy GroupConfig::validate_for_daemon() (the
+  /// `config` must pass RunSpec::validate(RunTarget::kDaemon) (the
   /// constructor throws otherwise); `clock` must outlive the group.
   /// `flight_capacity` sizes each worker's bounded recent-span ring for the
   /// flight recorder (0 disables span recording entirely — the default, and
@@ -87,13 +85,14 @@ class DaemonGroup {
   DaemonGroup(const DaemonGroup&) = delete;
   DaemonGroup& operator=(const DaemonGroup&) = delete;
 
-  /// Spawn one worker thread per proxy. Call once.
+  /// Spawn one worker thread per cache (parents included). Call once.
   void start();
   /// Deliver kShutdown to every worker and join. Idempotent. The caller
   /// must have drained its in-flight requests first (completions for
   /// requests still in flight at shutdown are lost, not corrupted).
   void stop();
 
+  /// Every cache of the group, parents included: one worker each.
   [[nodiscard]] std::size_t num_proxies() const { return workers_.size(); }
   /// Same stable user->proxy pinning as CacheGroup::home_proxy.
   [[nodiscard]] ProxyId home_proxy(UserId user) const;
@@ -127,43 +126,16 @@ class DaemonGroup {
   [[nodiscard]] RunResult collect_result();
 
  private:
-  /// One request's progress at its home worker (single-owner, no locks).
-  struct PendingRequest {
-    std::uint64_t id = 0;
-    DocumentId document = 0;
-    Bytes size = 0;            // trace request size (origin fetch body)
-    TimePoint stamp{};         // arrival instant echoed on every hop
-    std::size_t awaiting_replies = 0;
-    std::vector<ProxyId> hits;       // positive ICP answers so far
-    std::vector<ProxyId> candidates; // ring-distance order, tried in turn
-    std::size_t next_candidate = 0;
-    Duration probe_penalty = Duration::zero();
-    std::uint64_t root_span = 0;  // cross-hop trace root (0 = tracing off)
-  };
-
-  /// Everything one worker thread owns exclusively. The registry is built
-  /// first so the proxy and transport can register handles into it; all
+  /// Everything one worker thread owns exclusively. The accounting unit is
+  /// built first so the node can register its cache's handles into it; all
   /// registration happens on the constructing thread before start().
   struct Worker {
-    std::unique_ptr<MetricRegistry> registry;
-    std::unique_ptr<ProxyCache> proxy;
-    Transport transport;
-    GroupMetrics metrics;
-    std::unordered_map<std::uint64_t, PendingRequest> pending;
+    Worker(ProxyId id, const GroupView& group, std::size_t flight_capacity)
+        : accounting(group, flight_capacity), node(id, group, accounting) {}
 
-    MetricRegistry::Counter obs_requests;
-    MetricRegistry::Counter obs_icp_queries;
-    MetricRegistry::Counter obs_icp_replies;
-    MetricRegistry::Counter obs_icp_losses;
-    MetricRegistry::Counter obs_sibling_fetches;
-    MetricRegistry::Counter obs_parent_fetches;
-    MetricRegistry::Counter obs_origin_fetches;
-    MetricRegistry::HistogramHandle obs_request_bytes;
-
-    // Flight recorder: bounded ring of this worker's recent spans, plus the
-    // per-worker span-id counter. Both single-owner like everything above.
-    TraceLog flight;
-    std::uint64_t next_span = 0;
+    NodeAccounting accounting;
+    ProxyNode node;
+    ProxyNode::Outbox out;
 
     // The one piece of worker state another thread may read: the stats
     // sample the worker publishes when it handles kStatsRequest. The worker
@@ -182,31 +154,15 @@ class DaemonGroup {
   /// "now" for one protocol step: the request's trace stamp in smoke replay
   /// (deterministic), the live clock in wall-clock mode.
   [[nodiscard]] TimePoint step_now(const WireMessage& message) const;
-
-  /// Mint a span id unique across workers without shared state: the worker
-  /// id in the high bits, a per-worker counter below. Never returns 0 (the
-  /// "no trace identity" sentinel).
-  [[nodiscard]] static std::uint64_t mint_span(Worker& w);
-  /// Record the kComplete span under the request's root (no-op when the
-  /// flight ring is off or the request predates it).
-  static void record_complete_span(Worker& w, const PendingRequest& ctx, TimePoint now,
-                                   std::int64_t outcome);
+  /// Hand `message` to the worker's node and schedule its outbox: sends go
+  /// on the wire, origin timers run inline, completions go to the load
+  /// generator.
+  void run_node(Worker& w, const WireMessage& message, TimePoint now);
   void handle_stats_request(Worker& w, const WireMessage& message);
 
-  void handle_client_request(Worker& w, const WireMessage& message, TimePoint now);
-  void handle_icp_query(Worker& w, const WireMessage& message, TimePoint now);
-  void handle_icp_reply(Worker& w, const WireMessage& message, TimePoint now);
-  void handle_http_request(Worker& w, const WireMessage& message, TimePoint now);
-  void handle_http_response(Worker& w, const WireMessage& message, TimePoint now);
-  /// Send the next candidate fetch, or fall through to the origin.
-  void advance_candidates(Worker& w, PendingRequest& ctx, TimePoint now);
-  void resolve_origin(Worker& w, PendingRequest& ctx, TimePoint now);
-  void complete(Worker& w, const PendingRequest& ctx);
-
-  GroupConfig config_;
+  GroupView group_;
   Clock& clock_;
   DaemonMode mode_;
-  std::shared_ptr<const PlacementPolicy> placement_;
   std::vector<std::unique_ptr<Worker>> workers_;
   InMemoryTransport wire_;  // workers' mailboxes + load and stats endpoints
   bool started_ = false;

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/wall_timer.h"
+
 namespace eacache {
 
 namespace {
@@ -38,7 +40,7 @@ LoadGenReport LoadGen::replay(const Trace& trace) {
 
 LoadGenReport LoadGen::replay(TraceSource& source) {
   LoadGenReport report;
-  const auto wall_started = std::chrono::steady_clock::now();
+  const WallTimer wall;
   const ProxyId completions = group_.load_endpoint();
   InMemoryTransport& wire = group_.wire();
   std::uint64_t next_id = 1;  // ids correlate completions; flushes use them too
@@ -171,18 +173,12 @@ LoadGenReport LoadGen::replay(TraceSource& source) {
   // Await the in-flight tail (wall-clock mode; smoke replay is already
   // fully drained). A shortfall after the timeout is reported, not thrown —
   // the caller decides whether a straggler is fatal.
-  const auto drain_deadline = std::chrono::steady_clock::now() + to_ns(options_.drain_timeout);
-  while (report.completed < report.submitted) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= drain_deadline) break;
-    if (wire.receive(completions, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                      drain_deadline - now))) {
-      ++report.completed;
-    }
+  const Deadline drain(to_ns(options_.drain_timeout));
+  while (report.completed < report.submitted && !drain.expired()) {
+    if (wire.receive(completions, drain.remaining())) ++report.completed;
   }
 
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_started).count();
+  report.wall_seconds = wall.elapsed_ms() / 1000.0;
   return report;
 }
 

@@ -49,6 +49,23 @@ ProxyId home_proxy_in(const Topology& topology, UserId user) {
   return facing[mix64(user) % facing.size()];
 }
 
+std::shared_ptr<const PlacementPolicy> placement_for(const GroupConfig& config) {
+  if (config.placement_override) return config.placement_override;
+  return make_placement(config.placement, config.ea_hysteresis);
+}
+
+GroupCounters::GroupCounters(MetricRegistry& registry) {
+  if (!registry.enabled()) return;
+  requests = registry.counter("group.requests");
+  icp_queries = registry.counter("group.icp.queries");
+  icp_replies = registry.counter("group.icp.replies");
+  icp_losses = registry.counter("group.icp.losses");
+  sibling_fetches = registry.counter("group.sibling_fetches");
+  parent_fetches = registry.counter("group.parent_fetches");
+  origin_fetches = registry.counter("group.origin_fetches");
+  request_bytes = registry.histogram("group.request_bytes", 0.0, static_cast<double>(kMiB), 64);
+}
+
 void sort_by_ring_distance(std::vector<ProxyId>& peers, ProxyId requester,
                            std::size_t num_caches) {
   std::sort(peers.begin(), peers.end(), [&](ProxyId a, ProxyId b) {
@@ -153,45 +170,6 @@ std::vector<std::string> GroupConfig::validate() const {
   return errors;
 }
 
-std::vector<std::string> GroupConfig::validate_for_daemon() const {
-  std::vector<std::string> errors = validate();
-  const auto fail = [&errors](std::string message) { errors.push_back(std::move(message)); };
-
-  if (topology != TopologyKind::kDistributed || !custom_parents.empty()) {
-    fail("daemon mode serves flat (kDistributed) groups only: the hierarchical "
-         "parent chain is resolved recursively by the simulator's orchestrator");
-  }
-  if (routing == RoutingMode::kHashPartition) {
-    fail("daemon mode requires kCooperative routing (hash-partition forwarding "
-         "is a simulator baseline)");
-  }
-  if (discovery == DiscoveryMode::kDigest) {
-    fail("daemon mode requires kIcp discovery (digest refresh is scheduled by "
-         "the simulated clock)");
-  }
-  if (coherence.enabled) {
-    fail("daemon mode cannot run coherence: freshness checks consult the "
-         "simulated origin's version oracle");
-  }
-  if (prefetch.enabled) {
-    fail("daemon mode cannot run prefetching: speculative fetches are "
-         "orchestrated group-side in the simulator");
-  }
-  if (icp_loss_probability != 0.0) {
-    fail("daemon mode requires icp_loss_probability == 0: the in-memory wire "
-         "never drops, so the seeded loss draw has nothing to model");
-  }
-  if (pipeline.event_driven) {
-    fail("daemon mode has real concurrency; pipeline.event_driven selects the "
-         "simulator's staged driver and must stay off");
-  }
-  if (obs.trace_capacity > 0) {
-    fail("daemon mode does not record request spans: the span ring is "
-         "single-writer and belongs to the simulator's orchestrator");
-  }
-  return errors;
-}
-
 void GroupConfig::validate_or_throw() const {
   const std::vector<std::string> errors = validate();
   if (errors.empty()) return;
@@ -206,10 +184,7 @@ void GroupConfig::validate_or_throw() const {
 CacheGroup::CacheGroup(const GroupConfig& config)
     : config_(validated(config)),
       topology_(topology_from(config_)),
-      placement_(config_.placement_override
-                     ? config_.placement_override
-                     : std::shared_ptr<const PlacementPolicy>(
-                           make_placement(config_.placement, config_.ea_hysteresis))),
+      placement_(placement_for(config_)),
       registry_(config.obs.registry),
       trace_log_(config.obs.trace_capacity),
       transport_(config.wire),
@@ -229,17 +204,7 @@ CacheGroup::CacheGroup(const GroupConfig& config)
   digest_published_once_.assign(total_caches, false);
 
   transport_.bind_registry(&registry_, total_caches);
-  if (registry_.enabled()) {
-    obs_requests_ = registry_.counter("group.requests");
-    obs_icp_queries_ = registry_.counter("group.icp.queries");
-    obs_icp_replies_ = registry_.counter("group.icp.replies");
-    obs_icp_losses_ = registry_.counter("group.icp.losses");
-    obs_sibling_fetches_ = registry_.counter("group.sibling_fetches");
-    obs_parent_fetches_ = registry_.counter("group.parent_fetches");
-    obs_origin_fetches_ = registry_.counter("group.origin_fetches");
-    obs_request_bytes_ = registry_.histogram("group.request_bytes", 0.0,
-                                             static_cast<double>(kMiB), 64);
-  }
+  obs_ = GroupCounters(registry_);
 
   if (config_.coherence.enabled) origin_.emplace(config_.origin);
 
@@ -343,7 +308,7 @@ CacheGroup::ProbeResult CacheGroup::probe_peer(ProxyCache& requester, ProxyId ta
                                                const Request& request, TimePoint now) {
   const IcpQuery query{requester.id(), target, request.document};
   transport_.record_icp_query(query);
-  obs_icp_queries_.inc();
+  obs_.icp_queries.inc();
   // UDP is best-effort: a lost query or reply looks like a peer miss and
   // the requester falls back to the origin (a duplicate fetch). A peer in
   // an injected outage window behaves exactly like a loss — it never
@@ -354,7 +319,7 @@ CacheGroup::ProbeResult CacheGroup::probe_peer(ProxyCache& requester, ProxyId ta
   if (down || (config_.icp_loss_probability > 0.0 &&
                network_rng_.next_bool(config_.icp_loss_probability))) {
     transport_.record_icp_loss();
-    obs_icp_losses_.inc();
+    obs_.icp_losses.inc();
     if (trace_log_.enabled()) {
       SpanEvent event;
       event.request = current_request_;
@@ -372,7 +337,7 @@ CacheGroup::ProbeResult CacheGroup::probe_peer(ProxyCache& requester, ProxyId ta
   const bool hit = copy_is_fresh(*proxies_[target], request.document, now);
   proxies_[target]->note_icp_answer(hit);
   transport_.record_icp_reply(IcpReply{target, requester.id(), request.document, hit});
-  obs_icp_replies_.inc();
+  obs_.icp_replies.inc();
   if (trace_log_.enabled()) {
     SpanEvent event;
     event.request = current_request_;
@@ -501,8 +466,8 @@ void CacheGroup::flush_proxy(ProxyId proxy, TimePoint now) {
 std::uint64_t CacheGroup::begin_request(ProxyCache& requester, const Request& request) {
   requester.note_client_request();
   current_request_ = request_seq_++;
-  obs_requests_.inc();
-  obs_request_bytes_.observe(static_cast<double>(request.size));
+  obs_.requests.inc();
+  obs_.request_bytes.observe(static_cast<double>(request.size));
   if (trace_log_.enabled()) {
     SpanEvent event;
     event.request = current_request_;
@@ -678,7 +643,7 @@ CacheGroup::Resolution CacheGroup::try_candidates(ProxyCache& requester, const R
       fetch.requester_age = requester.expiration_age(now);
     }
     transport_.record_http_request(fetch);
-    obs_sibling_fetches_.inc();
+    obs_.sibling_fetches.inc();
 
     // Stale candidates answer in two ways: the copy is gone, or (with
     // coherence on) it is TTL-expired and the responder will not serve it.
@@ -773,7 +738,7 @@ HttpResponse CacheGroup::fetch_via_parent(ProxyCache& child, ProxyId parent_id,
     hop.requester_age = child.expiration_age(now);
   }
   transport_.record_http_request(hop);
-  obs_parent_fetches_.inc();
+  obs_.parent_fetches.inc();
 
   // A TTL-stale copy at the parent cannot be served; it will be replaced by
   // the fresh body flowing down, so drop it now (admission below would
@@ -838,7 +803,7 @@ HttpResponse CacheGroup::fetch_via_parent(ProxyCache& child, ProxyId parent_id,
 void CacheGroup::note_origin_fetch(ProxyId requester, const Document& document, TimePoint at,
                                    bool speculative) {
   transport_.record_origin_fetch(requester, document.size);
-  obs_origin_fetches_.inc();
+  obs_.origin_fetches.inc();
   if (trace_log_.enabled()) {
     SpanEvent event;
     event.request = current_request_;

@@ -211,17 +211,6 @@ struct GroupConfig {
   /// by run_simulation.
   void validate_or_throw() const;
 
-  /// validate() plus the rules a LIVE (daemon-mode) group adds: features
-  /// whose semantics only exist inside the discrete-event simulator —
-  /// coherence's origin oracle, the seeded ICP-loss draw, digest refresh
-  /// scheduling, the hierarchical parent chain, prefetch learning, hash
-  /// partitioning, the event-driven pipeline driver and the span ring —
-  /// are all rejected here with aggregated messages, same contract as
-  /// validate(). Internal: reached through
-  /// `RunSpec::validate(RunTarget::kDaemon)`, which the daemon runner
-  /// (daemon/daemon.h) folds into its own option checks.
-  [[nodiscard]] std::vector<std::string> validate_for_daemon() const;
-
   /// Total cache count this config builds: custom_parents when given,
   /// otherwise num_proxies plus a hierarchical root.
   [[nodiscard]] std::size_t total_cache_count() const;
@@ -229,13 +218,35 @@ struct GroupConfig {
 
 // ---- Group construction helpers ------------------------------------------
 //
-// Shared by CacheGroup and the sharded engine (sim/shard_engine.h), which
-// builds the same proxies without a group orchestrator. Splitting them out
-// keeps the two construction paths agreeing by definition.
+// Shared by CacheGroup and the node executors (core/proxy_node.h: the
+// sharded engine and the daemon), which build the same proxies without a
+// group orchestrator. Splitting them out keeps every construction path
+// agreeing by definition.
 
 /// The topology a config builds: custom_parents when given, otherwise the
 /// `topology` kind over num_proxies.
 [[nodiscard]] Topology topology_from(const GroupConfig& config);
+
+/// The group-wide placement policy: the test seam's override when set,
+/// otherwise the one `placement` names.
+[[nodiscard]] std::shared_ptr<const PlacementPolicy> placement_for(const GroupConfig& config);
+
+/// The eight "group.*" metric handles, registered under the same names by
+/// every driver so merged registries line up. Null handles when the
+/// registry is off.
+struct GroupCounters {
+  GroupCounters() = default;
+  explicit GroupCounters(MetricRegistry& registry);
+
+  MetricRegistry::Counter requests;
+  MetricRegistry::Counter icp_queries;
+  MetricRegistry::Counter icp_replies;
+  MetricRegistry::Counter icp_losses;
+  MetricRegistry::Counter sibling_fetches;
+  MetricRegistry::Counter parent_fetches;
+  MetricRegistry::Counter origin_fetches;
+  MetricRegistry::HistogramHandle request_bytes;
+};
 
 /// Per-cache byte budgets: equal split (the paper's setup) unless explicit
 /// weights are given. Assumes a validated config.
@@ -442,15 +453,7 @@ class CacheGroup {
   std::uint64_t request_seq_ = 0;
   std::uint64_t current_request_ = 0;
 
-  // Group-wide counters (null handles when the registry is off).
-  MetricRegistry::Counter obs_requests_;
-  MetricRegistry::Counter obs_icp_queries_;
-  MetricRegistry::Counter obs_icp_replies_;
-  MetricRegistry::Counter obs_icp_losses_;
-  MetricRegistry::Counter obs_sibling_fetches_;
-  MetricRegistry::Counter obs_parent_fetches_;
-  MetricRegistry::Counter obs_origin_fetches_;
-  MetricRegistry::HistogramHandle obs_request_bytes_;
+  GroupCounters obs_;  // group-wide counters
 
   // Digest discovery state. One shared directory stands in for the
   // identical per-proxy copies a real deployment keeps; the broadcast COST

@@ -1,66 +1,45 @@
 #include "sim/shard_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "core/proxy_node.h"
 #include "core/wall_timer.h"
-#include "ea/placement.h"
 #include "event/event_queue.h"
-#include "group/cache_group.h"
 #include "group/partition.h"
-#include "sim/shard_messages.h"
-#include "storage/replacement_policy.h"
 
 namespace eacache {
 
 namespace {
 
-/// One shard: an EventQueue, the proxies the partition assigned here, and
-/// private accounting merged only after the run. The mailbox is the ONLY
-/// state other threads touch.
+/// One shard: an EventQueue, the accounting unit its nodes charge, and the
+/// mailbox. The mailbox is the ONLY state other threads touch.
 struct Shard {
   // ---- single-owner state (the shard's worker thread) -------------------
+  explicit Shard(const GroupView& group) : accounting(group) {}
+
   std::size_t index = 0;
   EventQueue queue;
-  /// Indexed by GLOBAL proxy id; null for proxies on other shards.
-  std::vector<std::unique_ptr<ProxyCache>> proxies;
-  MetricRegistry registry;
-  Transport transport;
-  GroupMetrics metrics;
+  NodeAccounting accounting;
 
   /// Trace indices whose home proxy lives here, ascending (= time order).
   std::vector<std::uint64_t> admissions;
   std::size_t next_admission = 0;
 
-  /// In-flight requests admitted on this shard, keyed by trace index.
-  struct RequestCtx {
-    Request request;
-    ProxyId home = 0;
-    std::size_t awaiting_replies = 0;
-    std::vector<ProxyId> candidates;
-    std::size_t next_candidate = 0;
-    Duration penalty = Duration::zero();
-  };
-  std::unordered_map<std::uint64_t, RequestCtx> contexts;
-
-  /// Parent-chain forwarding state: which child a node must answer once the
-  /// body flows back down. Keyed by (trace index, node id).
-  std::unordered_map<std::uint64_t, ProxyId> parent_pending;
-
-  /// Messages produced this window, bucketed by destination shard; moved
-  /// into the targets' mailboxes at the barrier.
-  std::vector<std::vector<ShardMessage>> outbox;
+  /// The outbox a node handler fills; drained right after each handler.
+  ProxyNode::Outbox out;
+  /// Messages produced this window, bucketed by destination shard and
+  /// stamped with their delivery instant; moved into the targets'
+  /// mailboxes at the barrier.
+  std::vector<std::vector<WireMessage>> outgoing;
 
   /// Periodic observability samples: (series index, proxy, sample).
   struct SeriesRecord {
@@ -71,46 +50,36 @@ struct Shard {
   };
   std::vector<SeriesRecord> series;
 
-  // Group-wide counters (this shard's share; registries merge by name).
-  MetricRegistry::Counter obs_requests;
-  MetricRegistry::Counter obs_icp_queries;
-  MetricRegistry::Counter obs_icp_replies;
-  MetricRegistry::Counter obs_icp_losses;
-  MetricRegistry::Counter obs_sibling_fetches;
-  MetricRegistry::Counter obs_parent_fetches;
-  MetricRegistry::Counter obs_origin_fetches;
-  MetricRegistry::HistogramHandle obs_request_bytes;
-
   // ---- shared state (any thread, at barriers) ---------------------------
   Mutex mailbox_mutex;
   /// Messages addressed to this shard, not yet injected.
-  std::vector<ShardMessage> mailbox EACACHE_GUARDED_BY(mailbox_mutex);
+  std::vector<WireMessage> mailbox EACACHE_GUARDED_BY(mailbox_mutex);
   /// This shard's earliest purely-local pending work (queue + admissions),
   /// published just before arriving at the barrier.
   std::optional<TimePoint> next_local EACACHE_GUARDED_BY(mailbox_mutex);
-
-  explicit Shard(bool registry_on) : registry(registry_on) {}
-
-  [[nodiscard]] ProxyCache& proxy(ProxyId id) { return *proxies[id]; }
 };
+
+/// Barrier injection order: (delivery instant, request id, kind, from, to).
+/// Total over any batch the engine can produce — a request never has two
+/// identical hops in flight — and independent of mailbox arrival order,
+/// which is what makes injection deterministic.
+bool delivery_order(const WireMessage& a, const WireMessage& b) {
+  if (a.stamp != b.stamp) return a.stamp < b.stamp;
+  if (a.request_id != b.request_id) return a.request_id < b.request_id;
+  if (a.kind != b.kind) return a.kind < b.kind;
+  if (a.from != b.from) return a.from < b.from;
+  return a.to < b.to;
+}
 
 class ShardEngine {
  public:
   ShardEngine(const Trace& trace, const RunSpec& spec)
       : trace_(trace),
         spec_(spec),
-        topology_(topology_from(spec.group)),
-        partition_(partition_topology(topology_, spec.exec.shards)),
-        placement_(spec.group.placement_override
-                       ? spec.group.placement_override
-                       : std::shared_ptr<const PlacementPolicy>(make_placement(
-                             spec.group.placement, spec.group.ea_hysteresis))),
-        lookahead_(spec.effective_lookahead()) {
-    const LatencyModel& latency = spec.group.latency;
-    d_probe_ = latency.icp_rtt / 2;
-    d_reply_ = latency.icp_rtt - d_probe_;
-    d_body_ = std::max(latency.remote_transfer() - d_probe_, msec(1));
-    d_origin_ = std::max(latency.origin_transfer() - d_probe_, msec(1));
+        group_(spec.group, spec.faults.outages),
+        partition_(partition_topology(group_.topology, spec.exec.shards)),
+        lookahead_(spec.effective_lookahead()),
+        delays_(hop_delays(spec.group.latency)) {
     build_shards();
   }
 
@@ -147,38 +116,23 @@ class ShardEngine {
 
   void build_shards() {
     const GroupConfig& config = spec_.group;
-    const std::size_t total = topology_.num_proxies();
-    const std::vector<Bytes> budgets = cache_budgets(config, total);
-
     shards_.reserve(partition_.shards);
     for (std::size_t s = 0; s < partition_.shards; ++s) {
-      auto shard = std::make_unique<Shard>(config.obs.registry);
+      auto shard = std::make_unique<Shard>(group_);
       shard->index = s;
-      shard->proxies.resize(total);
-      for (const ProxyId p : partition_.members[s]) {
-        shard->proxies[p] = std::make_unique<ProxyCache>(
-            p, budgets[p], make_policy(config.replacement), config.window, placement_.get(),
-            /*digest_config=*/nullptr, &shard->registry);
-      }
-      shard->transport.bind_registry(&shard->registry, total);
-      if (shard->registry.enabled()) {
-        shard->obs_requests = shard->registry.counter("group.requests");
-        shard->obs_icp_queries = shard->registry.counter("group.icp.queries");
-        shard->obs_icp_replies = shard->registry.counter("group.icp.replies");
-        shard->obs_icp_losses = shard->registry.counter("group.icp.losses");
-        shard->obs_sibling_fetches = shard->registry.counter("group.sibling_fetches");
-        shard->obs_parent_fetches = shard->registry.counter("group.parent_fetches");
-        shard->obs_origin_fetches = shard->registry.counter("group.origin_fetches");
-        shard->obs_request_bytes = shard->registry.histogram(
-            "group.request_bytes", 0.0, static_cast<double>(kMiB), 64);
-      }
-      shard->outbox.resize(partition_.shards);
+      shard->outgoing.resize(partition_.shards);
       shards_.push_back(std::move(shard));
+    }
+    nodes_.resize(group_.topology.num_proxies());
+    for (std::size_t s = 0; s < partition_.shards; ++s) {
+      for (const ProxyId p : partition_.members[s]) {
+        nodes_[p] = std::make_unique<ProxyNode>(p, group_, shards_[s]->accounting);
+      }
     }
 
     // Admissions: each request enters at its user's home proxy's shard.
     for (std::uint64_t i = 0; i < trace_.requests.size(); ++i) {
-      const ProxyId home = home_proxy_in(topology_, trace_.requests[i].user);
+      const ProxyId home = home_proxy_in(group_.topology, trace_.requests[i].user);
       shards_[partition_.shard_of[home]]->admissions.push_back(i);
     }
 
@@ -203,9 +157,8 @@ class ShardEngine {
     }
     for (const FaultPlan::Flush& flush : spec_.faults.flushes) {
       Shard* shard = shards_[partition_.shard_of[flush.proxy]].get();
-      shard->queue.schedule_at(flush.at, [shard, proxy = flush.proxy](TimePoint at) {
-        shard->proxy(proxy).flush(at);
-      });
+      ProxyNode* node = nodes_[flush.proxy].get();
+      shard->queue.schedule_at(flush.at, [node](TimePoint at) { node->cache().flush(at); });
     }
   }
 
@@ -222,7 +175,7 @@ class ShardEngine {
       }
       try {
         process_window(shard, window_start);
-        flush_outboxes(shard);
+        flush_outgoing(shard);
         {
           MutexLock lock(shard.mailbox_mutex);
           publish_next_local_locked(shard);
@@ -241,20 +194,19 @@ class ShardEngine {
     // Inject every due mailbox message in canonical order: arrival order
     // (thread timing) is erased, which is what keeps the schedule
     // identical under every shard count.
-    std::vector<ShardMessage> due;
+    std::vector<WireMessage> due;
     {
       MutexLock lock(shard.mailbox_mutex);
-      std::vector<ShardMessage> keep;
-      for (ShardMessage& message : shard.mailbox) {
-        (message.deliver_at < window_end ? due : keep).push_back(std::move(message));
+      std::vector<WireMessage> keep;
+      for (WireMessage& message : shard.mailbox) {
+        (message.stamp < window_end ? due : keep).push_back(message);
       }
       shard.mailbox.swap(keep);
     }
-    std::sort(due.begin(), due.end(), ShardMessageOrder{});
-    for (ShardMessage& message : due) {
-      const TimePoint at = message.deliver_at;
-      shard.queue.schedule_at(at, [this, &shard, m = std::move(message)](TimePoint now) {
-        deliver(shard, m, now);
+    std::sort(due.begin(), due.end(), delivery_order);
+    for (const WireMessage& message : due) {
+      shard.queue.schedule_at(message.stamp, [this, &shard, message](TimePoint now) {
+        deliver(shard, message, now);
       });
     }
 
@@ -273,14 +225,13 @@ class ShardEngine {
     shard.queue.run_until(window_end - msec(1));
   }
 
-  void flush_outboxes(Shard& shard) {
+  void flush_outgoing(Shard& shard) {
     for (std::size_t t = 0; t < shards_.size(); ++t) {
-      std::vector<ShardMessage>& batch = shard.outbox[t];
+      std::vector<WireMessage>& batch = shard.outgoing[t];
       if (batch.empty()) continue;
       Shard& target = *shards_[t];
       MutexLock lock(target.mailbox_mutex);
-      target.mailbox.insert(target.mailbox.end(), std::make_move_iterator(batch.begin()),
-                            std::make_move_iterator(batch.end()));
+      target.mailbox.insert(target.mailbox.end(), batch.begin(), batch.end());
       batch.clear();
     }
   }
@@ -328,9 +279,8 @@ class ShardEngine {
         global = global.has_value() ? std::min(*global, *shard->next_local)
                                     : *shard->next_local;
       }
-      for (const ShardMessage& message : shard->mailbox) {
-        global = global.has_value() ? std::min(*global, message.deliver_at)
-                                    : message.deliver_at;
+      for (const WireMessage& message : shard->mailbox) {
+        global = global.has_value() ? std::min(*global, message.stamp) : message.stamp;
       }
     }
     if (!global.has_value()) {
@@ -354,330 +304,57 @@ class ShardEngine {
     if (failure) std::rethrow_exception(failure);
   }
 
-  // ---- protocol handlers ------------------------------------------------
+  // ---- executing the nodes ----------------------------------------------
 
-  void send(Shard& shard, ShardMessage message) {
-    shard.outbox[partition_.shard_of[message.to]].push_back(std::move(message));
-  }
-
-  [[nodiscard]] bool peer_down(ProxyId proxy, TimePoint at) const {
-    for (const PeerOutage& outage : spec_.faults.outages) {
-      if (outage.proxy == proxy && at >= outage.start && at < outage.end) return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool uses_ea() const {
-    return placement_->kind() != PlacementKind::kAdHoc;
-  }
-
-  [[nodiscard]] std::uint64_t pending_key(std::uint64_t request_index, ProxyId node) const {
-    return request_index * topology_.num_proxies() + node;
-  }
-
+  /// A trace request enters at its home node.
   void admit(Shard& shard, std::uint64_t index, TimePoint now) {
     const Request& request = trace_.requests[index];
-    const ProxyId home = home_proxy_in(topology_, request.user);
-    ProxyCache& requester = shard.proxy(home);
-    requester.note_client_request();
-    shard.obs_requests.inc();
-    shard.obs_request_bytes.observe(static_cast<double>(request.size));
+    WireMessage message;
+    message.kind = WireMessage::Kind::kClientRequest;
+    message.to = home_proxy_in(group_.topology, request.user);
+    message.user = request.user;
+    message.document = request.document;
+    message.request_id = index;
+    message.stamp = now;
+    message.body_size = request.size;
+    deliver(shard, message, now);
+  }
 
-    if (const auto size = requester.serve_local(request.document, now)) {
-      shard.metrics.record(RequestOutcome::kLocalHit, *size, spec_.group.latency.local_hit);
-      return;
+  /// Run one node handler, then schedule its outbox: every send rides the
+  /// mailbox (same-shard sends included) due after its hop delay, origin
+  /// timers go straight onto this shard's queue, and completions need
+  /// nothing — the node already charged GroupMetrics.
+  void deliver(Shard& shard, const WireMessage& message, TimePoint now) {
+    nodes_[message.to]->handle(message, now, shard.out);
+    for (WireMessage& sent : shard.out) {
+      switch (sent.kind) {
+        case WireMessage::Kind::kOriginFetch:
+          shard.queue.schedule_at(now + delays_.origin, [this, &shard, sent](TimePoint at) {
+            deliver(shard, sent, at);
+          });
+          break;
+        case WireMessage::Kind::kCompletion:
+          break;
+        default:
+          sent.stamp = now + hop_delay(sent.kind);
+          shard.outgoing[partition_.shard_of[sent.to]].push_back(sent);
+      }
     }
-
-    Shard::RequestCtx& ctx = shard.contexts[index];
-    ctx.request = request;
-    ctx.home = home;
-
-    std::vector<ProxyId> targets = topology_.siblings_of(home);
-    if (const auto parent = topology_.parent_of(home)) targets.push_back(*parent);
-    if (targets.empty()) {
-      resolve_group_miss(shard, index, ctx, now);
-      return;
-    }
-    ctx.awaiting_replies = targets.size();
-    for (const ProxyId target : targets) {
-      shard.transport.record_icp_query(IcpQuery{home, target, request.document});
-      shard.obs_icp_queries.inc();
-      ShardMessage probe;
-      probe.kind = ShardMessageKind::kIcpProbe;
-      probe.request_index = index;
-      probe.from = home;
-      probe.to = target;
-      probe.deliver_at = now + d_probe_;
-      probe.document = request.document;
-      probe.size = request.size;
-      send(shard, std::move(probe));
-    }
+    shard.out.clear();
   }
 
-  void on_icp_probe(Shard& shard, const ShardMessage& message, TimePoint now) {
-    ShardMessage reply;
-    reply.kind = ShardMessageKind::kIcpReply;
-    reply.request_index = message.request_index;
-    reply.from = message.to;
-    reply.to = message.from;
-    reply.deliver_at = now + d_reply_;
-    reply.document = message.document;
-    reply.size = message.size;
-    if (peer_down(message.to, now)) {
-      // An outaged peer never answers; the requester learns that at the
-      // reply deadline and books the exchange as a loss.
-      reply.status = ShardProbeStatus::kDown;
-    } else {
-      const bool hit = shard.proxy(message.to).answer_icp(message.document);
-      shard.transport.record_icp_reply(
-          IcpReply{message.to, message.from, message.document, hit});
-      shard.obs_icp_replies.inc();
-      reply.status = hit ? ShardProbeStatus::kHit : ShardProbeStatus::kMiss;
-    }
-    send(shard, std::move(reply));
-  }
-
-  void on_icp_reply(Shard& shard, const ShardMessage& message, TimePoint now) {
-    Shard::RequestCtx& ctx = shard.contexts.at(message.request_index);
-    if (message.status == ShardProbeStatus::kDown) {
-      shard.transport.record_icp_loss();
-      shard.obs_icp_losses.inc();
-    } else if (message.status == ShardProbeStatus::kHit) {
-      ctx.candidates.push_back(message.from);
-    }
-    if (--ctx.awaiting_replies > 0) return;
-    sort_by_ring_distance(ctx.candidates, ctx.home, topology_.num_proxies());
-    try_next_candidate(shard, message.request_index, ctx, now);
-  }
-
-  void try_next_candidate(Shard& shard, std::uint64_t index, Shard::RequestCtx& ctx,
-                          TimePoint now) {
-    if (ctx.next_candidate >= ctx.candidates.size()) {
-      resolve_group_miss(shard, index, ctx, now);
-      return;
-    }
-    const ProxyId responder = ctx.candidates[ctx.next_candidate++];
-    ProxyCache& requester = shard.proxy(ctx.home);
-
-    HttpRequest fetch;
-    fetch.from = ctx.home;
-    fetch.to = responder;
-    fetch.document = ctx.request.document;
-    if (uses_ea()) fetch.requester_age = requester.expiration_age(now);
-    shard.transport.record_http_request(fetch);
-    shard.obs_sibling_fetches.inc();
-
-    ShardMessage message;
-    message.kind = ShardMessageKind::kFetchRequest;
-    message.request_index = index;
-    message.from = ctx.home;
-    message.to = responder;
-    message.deliver_at = now + d_probe_;
-    message.document = ctx.request.document;
-    message.size = ctx.request.size;
-    message.age = fetch.requester_age;
-    send(shard, std::move(message));
-  }
-
-  void on_fetch_request(Shard& shard, const ShardMessage& message, TimePoint now) {
-    HttpRequest fetch;
-    fetch.from = message.from;
-    fetch.to = message.to;
-    fetch.document = message.document;
-    fetch.requester_age = message.age;
-    // Unlike the synchronous driver, simulated time passed since the ICP
-    // reply: the copy may be gone, which serve_fetch answers as a
-    // header-only not-found (the requester moves to its next candidate).
-    const HttpResponse response = shard.proxy(message.to).serve_fetch(fetch, now);
-    shard.transport.record_http_response(response);
-
-    ShardMessage body;
-    body.kind = ShardMessageKind::kFetchBody;
-    body.request_index = message.request_index;
-    body.from = message.to;
-    body.to = message.from;
-    body.deliver_at = now + d_body_;
-    body.document = message.document;
-    body.size = response.body_size;
-    body.found = response.found;
-    body.age = response.responder_age;
-    send(shard, std::move(body));
-  }
-
-  void on_fetch_body(Shard& shard, const ShardMessage& message, TimePoint now) {
-    Shard::RequestCtx& ctx = shard.contexts.at(message.request_index);
-    if (!message.found) {
-      ctx.penalty += spec_.group.latency.failed_probe;
-      try_next_candidate(shard, message.request_index, ctx, now);
-      return;
-    }
-    shard.proxy(ctx.home).consider_caching(Document{message.document, message.size, 0},
-                                           message.age, now);
-    shard.metrics.record(RequestOutcome::kRemoteHit, message.size,
-                         spec_.group.latency.remote_hit + ctx.penalty);
-    shard.contexts.erase(message.request_index);
-  }
-
-  void resolve_group_miss(Shard& shard, std::uint64_t index, Shard::RequestCtx& ctx,
-                          TimePoint now) {
-    const auto parent = topology_.parent_of(ctx.home);
-    if (!parent) {
-      // Distributed architecture: origin fetch, completing shard-locally.
-      shard.queue.schedule_at(now + d_origin_, [this, &shard, index](TimePoint at) {
-        finish_origin_miss(shard, index, at);
-      });
-      return;
-    }
-    send_parent_hop(shard, ctx.home, *parent, index, ctx.request.document, ctx.request.size,
-                    now);
-  }
-
-  void finish_origin_miss(Shard& shard, std::uint64_t index, TimePoint now) {
-    Shard::RequestCtx& ctx = shard.contexts.at(index);
-    ProxyCache& requester = shard.proxy(ctx.home);
-    const Document document{ctx.request.document, ctx.request.size, 0};
-    shard.transport.record_origin_fetch(ctx.home, document.size);
-    shard.obs_origin_fetches.inc();
-    if (!requester.store().contains(document.id)) {
-      requester.cache_after_origin_fetch(document, now);
-    }
-    shard.metrics.record(RequestOutcome::kMiss, document.size,
-                         spec_.group.latency.miss + ctx.penalty);
-    shard.contexts.erase(index);
-  }
-
-  void send_parent_hop(Shard& shard, ProxyId child, ProxyId parent, std::uint64_t index,
-                       DocumentId document, Bytes size, TimePoint now) {
-    HttpRequest hop;
-    hop.from = child;
-    hop.to = parent;
-    hop.document = document;
-    if (uses_ea()) hop.requester_age = shard.proxy(child).expiration_age(now);
-    shard.transport.record_http_request(hop);
-    shard.obs_parent_fetches.inc();
-
-    ShardMessage message;
-    message.kind = ShardMessageKind::kParentRequest;
-    message.request_index = index;
-    message.from = child;
-    message.to = parent;
-    message.deliver_at = now + d_probe_;
-    message.document = document;
-    message.size = size;
-    message.age = hop.requester_age;
-    send(shard, std::move(message));
-  }
-
-  void on_parent_request(Shard& shard, const ShardMessage& message, TimePoint now) {
-    ProxyCache& parent = shard.proxy(message.to);
-    if (parent.store().contains(message.document)) {
-      // Reachable above the ICP horizon: a cache hit at a higher level.
-      HttpRequest hop;
-      hop.from = message.from;
-      hop.to = message.to;
-      hop.document = message.document;
-      hop.requester_age = message.age;
-      const HttpResponse response = parent.serve_remote(hop, now);
-      shard.transport.record_http_response(response);
-      send_parent_body(shard, message.request_index, message.to, message.from,
-                       message.document, response.body_size, ResponseSource::kCache,
-                       response.responder_age, now);
-      return;
-    }
-    if (const auto grandparent = topology_.parent_of(message.to)) {
-      // Forward up, remembering which child to answer on the way down.
-      shard.parent_pending[pending_key(message.request_index, message.to)] = message.from;
-      send_parent_hop(shard, message.to, *grandparent, message.request_index,
-                      message.document, message.size, now);
-      return;
-    }
-    // Top of the chain: fetch from the origin, completing shard-locally.
-    const ShardMessage request = message;
-    shard.queue.schedule_at(now + d_origin_, [this, &shard, request](TimePoint at) {
-      finish_origin_as_parent(shard, request, at);
-    });
-  }
-
-  void finish_origin_as_parent(Shard& shard, const ShardMessage& message, TimePoint now) {
-    ProxyCache& parent = shard.proxy(message.to);
-    const Document document{message.document, message.size, 0};
-    shard.transport.record_origin_fetch(message.to, document.size);
-    shard.obs_origin_fetches.inc();
-    HttpRequest hop;
-    hop.from = message.from;
-    hop.to = message.to;
-    hop.document = message.document;
-    hop.requester_age = message.age;
-    const HttpResponse response = parent.resolve_miss_as_parent(document, hop, now);
-    shard.transport.record_http_response(response);
-    send_parent_body(shard, message.request_index, message.to, message.from,
-                     message.document, message.size, ResponseSource::kOrigin,
-                     response.responder_age, now);
-  }
-
-  void send_parent_body(Shard& shard, std::uint64_t index, ProxyId from, ProxyId to,
-                        DocumentId document, Bytes size, ResponseSource source,
-                        std::optional<ExpAge> age, TimePoint now) {
-    ShardMessage message;
-    message.kind = ShardMessageKind::kParentBody;
-    message.request_index = index;
-    message.from = from;
-    message.to = to;
-    message.deliver_at = now + d_body_;
-    message.document = document;
-    message.size = size;
-    message.source = source;
-    message.age = age;
-    send(shard, std::move(message));
-  }
-
-  void on_parent_body(Shard& shard, const ShardMessage& message, TimePoint now) {
-    ProxyCache& node = shard.proxy(message.to);
-    const auto pending = shard.parent_pending.find(pending_key(message.request_index, message.to));
-    if (pending != shard.parent_pending.end()) {
-      // Intermediate node: decide whether to keep a copy (requester rule),
-      // then answer the child with our own age.
-      const ProxyId child = pending->second;
-      shard.parent_pending.erase(pending);
-      node.consider_caching(Document{message.document, message.size, 0}, message.age, now);
-      HttpResponse down;
-      down.from = message.to;
-      down.to = child;
-      down.document = message.document;
-      down.body_size = message.size;
-      down.source = message.source;
-      if (uses_ea()) down.responder_age = node.expiration_age(now);
-      shard.transport.record_http_response(down);
-      send_parent_body(shard, message.request_index, message.to, child, message.document,
-                       message.size, message.source, down.responder_age, now);
-      return;
-    }
-    // The original requester: the chain resolved the document — a remote
-    // hit iff some cache above the ICP horizon had it, a miss if the chain
-    // went all the way to the origin.
-    Shard::RequestCtx& ctx = shard.contexts.at(message.request_index);
-    node.consider_caching(Document{message.document, message.size, 0}, message.age, now);
-    const bool cache_hit = message.source == ResponseSource::kCache;
-    shard.metrics.record(
-        cache_hit ? RequestOutcome::kRemoteHit : RequestOutcome::kMiss, message.size,
-        (cache_hit ? spec_.group.latency.remote_hit : spec_.group.latency.miss) + ctx.penalty);
-    shard.contexts.erase(message.request_index);
-  }
-
-  void deliver(Shard& shard, const ShardMessage& message, TimePoint now) {
-    switch (message.kind) {
-      case ShardMessageKind::kIcpProbe: return on_icp_probe(shard, message, now);
-      case ShardMessageKind::kIcpReply: return on_icp_reply(shard, message, now);
-      case ShardMessageKind::kFetchRequest: return on_fetch_request(shard, message, now);
-      case ShardMessageKind::kFetchBody: return on_fetch_body(shard, message, now);
-      case ShardMessageKind::kParentRequest: return on_parent_request(shard, message, now);
-      case ShardMessageKind::kParentBody: return on_parent_body(shard, message, now);
+  [[nodiscard]] Duration hop_delay(WireMessage::Kind kind) const {
+    switch (kind) {
+      case WireMessage::Kind::kIcpReply: return delays_.reply;
+      case WireMessage::Kind::kHttpResponse:
+      case WireMessage::Kind::kParentResponse: return delays_.body;
+      default: return delays_.probe;  // ICP query, sibling and parent requests
     }
   }
 
   void sample_series(Shard& shard, std::size_t index, TimePoint at) {
     for (const ProxyId p : partition_.members[shard.index]) {
-      const ProxyCache& proxy = shard.proxy(p);
+      const ProxyCache& proxy = nodes_[p]->cache();
       ProxySeriesSample sample;
       const ExpAge age = proxy.expiration_age(at);
       sample.finite = !age.is_infinite();
@@ -690,20 +367,12 @@ class ShardEngine {
 
   // ---- end-of-run merge -------------------------------------------------
 
-  [[nodiscard]] const ProxyCache& proxy_at(ProxyId p) const {
-    return *shards_[partition_.shard_of[p]]->proxies[p];
-  }
-
   SimulationResult collect() {
-    SimulationResult result;
-    const std::size_t total = topology_.num_proxies();
-
-    MetricRegistry merged(spec_.group.obs.registry);
-    for (auto& shard : shards_) {
-      result.metrics.merge(shard->metrics);
-      result.transport.merge(shard->transport.stats());
-      merged.merge(shard->registry);
-    }
+    std::vector<const NodeAccounting*> units;
+    for (const auto& shard : shards_) units.push_back(&shard->accounting);
+    std::vector<const ProxyNode*> nodes;
+    for (const auto& node : nodes_) nodes.push_back(node.get());
+    SimulationResult result = collect_run_result(group_, units, nodes);
 
     // Series points: every shard sampled its own proxies at the same
     // global instants; reassemble per-instant points in proxy-id order.
@@ -714,49 +383,13 @@ class ShardEngine {
       }
     }
     result.proxy_series.resize(num_points);
-    for (auto& point : result.proxy_series) point.proxies.resize(total);
+    for (auto& point : result.proxy_series) point.proxies.resize(nodes_.size());
     for (const auto& shard : shards_) {
       for (const Shard::SeriesRecord& record : shard->series) {
         result.proxy_series[record.index].at = record.at;
         result.proxy_series[record.index].proxies[record.proxy] = record.sample;
       }
     }
-
-    // Occupancy diagnostics + per-proxy reporting, in global id order.
-    std::unordered_map<DocumentId, bool> seen;
-    double age_sum_ms = 0.0;
-    std::size_t finite_ages = 0;
-    for (ProxyId p = 0; p < static_cast<ProxyId>(total); ++p) {
-      const ProxyCache& proxy = proxy_at(p);
-      result.per_cache_expiration_age.push_back(proxy.contention().lifetime_average());
-      result.proxy_stats.push_back(proxy.stats());
-      result.total_resident_copies += proxy.store().resident_count();
-      for (const DocumentId id : proxy.store().resident_ids()) seen[id] = true;
-      const ExpAge age = proxy.contention().lifetime_average();
-      if (!age.is_infinite()) {
-        age_sum_ms += age.millis();
-        ++finite_ages;
-      }
-      if (merged.enabled()) {
-        const std::string prefix = "proxy." + std::to_string(p) + ".";
-        merged.gauge(prefix + "resident_bytes")
-            .set(static_cast<double>(proxy.store().resident_bytes()));
-        merged.gauge(prefix + "resident_docs")
-            .set(static_cast<double>(proxy.store().resident_count()));
-      }
-    }
-    result.unique_resident_documents = seen.size();
-    result.replication_factor =
-        seen.empty() ? 0.0
-                     : static_cast<double>(result.total_resident_copies) /
-                           static_cast<double>(seen.size());
-    result.average_cache_expiration_age =
-        finite_ages == 0 ? ExpAge::infinite()
-                         : ExpAge::from_millis(age_sum_ms / static_cast<double>(finite_ages));
-    if (merged.enabled()) {
-      merged.gauge("group.replication_factor").set(result.replication_factor);
-    }
-    result.registry = merged.snapshot();
     return result;
   }
 
@@ -764,16 +397,14 @@ class ShardEngine {
 
   const Trace& trace_;
   const RunSpec& spec_;
-  Topology topology_;
+  GroupView group_;
   TopologyPartition partition_;
-  std::shared_ptr<const PlacementPolicy> placement_;
   Duration lookahead_;
-  Duration d_probe_{};
-  Duration d_reply_{};
-  Duration d_body_{};
-  Duration d_origin_{};
+  HopDelays delays_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Indexed by proxy id; node p runs only on shard partition_.shard_of[p].
+  std::vector<std::unique_ptr<ProxyNode>> nodes_;
 
   Mutex round_mutex_;
   CondVar round_cv_;

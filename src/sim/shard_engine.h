@@ -3,17 +3,19 @@
 // The classic drivers (sim/simulator.h) run the whole group on one
 // EventQueue. This engine partitions the proxy topology into shards
 // (group/partition.h), gives each shard its own EventQueue, clock and
-// private accounting, and synchronizes the shards with conservative
-// lookahead windows:
+// accounting unit, and executes every proxy as a ProxyNode
+// (core/proxy_node.h) — the protocol lives there, this file only schedules
+// it. Shards are synchronized with conservative lookahead windows:
 //
 //   * the window width W is RunSpec::effective_lookahead() — by
 //     construction no shard-crossing message can have a delay below W, so
 //     a message sent inside window [S, S+W) always delivers at or after
 //     S+W: shards never need to roll back (classic conservative PDES);
-//   * every cross-proxy interaction (ICP probe/reply, sibling fetch,
-//     parent-chain hop) is an explicit ShardMessage
-//     (sim/shard_messages.h) exchanged through per-shard mailboxes at
-//     window barriers;
+//   * every message a node sends (ICP probe/reply, sibling fetch,
+//     parent-chain hop) is a WireMessage stamped with its delivery instant
+//     (send time + its HopDelays entry) and exchanged through per-shard
+//     mailboxes at window barriers; origin timers stay on the sending
+//     shard's queue;
 //   * the next window start is the last barrier arriver's computation:
 //     the global minimum over all shards' earliest pending work, rounded
 //     down to a multiple of W — quiet stretches of the trace are skipped
@@ -21,9 +23,10 @@
 //
 // Determinism guarantee (pinned by ShardEngineTest): the result JSON is
 // BYTE-IDENTICAL for shards=1 and shards=N. Everything order-sensitive is
-// normalized — mailbox batches are sorted by ShardMessageOrder before
-// injection, admissions are scheduled after the batch, same-shard messages
-// ride the mailbox exactly like cross-shard ones, and every merged
+// normalized — mailbox batches are sorted by (delivery instant, request,
+// kind, from, to) before injection, admissions are scheduled after the
+// batch, same-shard messages ride the mailbox exactly like cross-shard
+// ones, and every merged
 // aggregate (GroupMetrics, TransportStats, MetricRegistry, series samples)
 // is commutative or merged in global proxy-id order.
 //

@@ -34,13 +34,13 @@ TEST(DaemonGoldenTest, SmokeReplayMatchesGolden) {
   workload.seed = 424242;  // the pipeline-regression trace
   const Trace trace = generate_synthetic_trace(workload);
 
-  GroupConfig config;
-  config.num_proxies = 4;
-  config.aggregate_capacity = 1 * kMiB;
-  config.placement = PlacementKind::kEa;
-  config.obs.series_points = 0;  // no mid-run sampling hook in daemon mode
+  RunSpec spec;
+  spec.group.num_proxies = 4;
+  spec.group.aggregate_capacity = 1 * kMiB;
+  spec.group.placement = PlacementKind::kEa;
+  spec.group.obs.series_points = 0;  // no mid-run sampling hook in daemon mode
 
-  const std::string json = run_result_to_json(run_daemon(trace, config));
+  const std::string json = run_result_to_json(run_daemon(trace, spec));
 
   const std::string path = std::string(EACACHE_GOLDEN_DIR) + "/daemon_smoke.json";
   if (std::getenv("EACACHE_UPDATE_GOLDEN") != nullptr) {

@@ -324,11 +324,13 @@ TEST(FlightRecorderTest, FaultPlanDumpWritesSpansAndDeltas) {
   const std::string dump_path = testing::TempDir() + "/eacache_flight_dump.jsonl";
   std::remove(dump_path.c_str());
 
+  RunSpec spec;
+  spec.group = config;
+  spec.faults.flight_dumps = {trace.requests[trace.requests.size() / 2].at};
   DaemonOptions options;  // smoke replay
   options.telemetry.flight_capacity = 4096;
   options.telemetry.flight_out = dump_path;
-  options.faults.flight_dumps = {trace.requests[trace.requests.size() / 2].at};
-  const RunResult with_dump = run_daemon(trace, config, options);
+  const RunResult with_dump = run_daemon(trace, spec, options);
 
   std::ifstream in(dump_path);
   ASSERT_TRUE(in) << "flight dump not written to " << dump_path;
@@ -353,7 +355,8 @@ TEST(FlightRecorderTest, FaultPlanDumpWritesSpansAndDeltas) {
 
   // Flight recording + mid-run sampling must not perturb the replay: the
   // result JSON stays byte-identical to a run with the plane fully off.
-  const RunResult plain = run_daemon(trace, config);
+  spec.faults = {};
+  const RunResult plain = run_daemon(trace, spec);
   EXPECT_EQ(run_result_to_json(with_dump), run_result_to_json(plain));
 }
 

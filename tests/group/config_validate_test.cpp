@@ -166,18 +166,26 @@ TEST(ConfigValidateTest, RunSimulationEnforcesValidation) {
   EXPECT_THROW((void)run_simulation(Trace{}, config), std::invalid_argument);
 }
 
-// --- validate_for_daemon: the live-daemon subset of the config space ------
+// --- RunSpec::validate(kDaemon): the live-daemon subset of the config space -
 //
-// The daemon (src/daemon/) serves the flat distributed ICP group only; every
-// simulator-only feature must be called out, aggregated with the base
-// validate() findings rather than replacing them.
+// The daemon executes the ProxyNode protocol core, flat or hierarchical;
+// every feature that lives outside that core must be called out,
+// aggregated with the base validate() findings rather than replacing them.
+
+RunSpec daemon_spec(const GroupConfig& config) {
+  RunSpec spec;
+  spec.group = config;
+  return spec;
+}
 
 TEST(ConfigValidateTest, DaemonValidationAcceptsTheDefaultGroup) {
   GroupConfig config;
   config.num_proxies = 4;
   config.aggregate_capacity = 1 * kMiB;
   EXPECT_TRUE(config.validate().empty());
-  EXPECT_TRUE(config.validate_for_daemon().empty());
+  EXPECT_TRUE(daemon_spec(config).validate(RunTarget::kDaemon).empty());
+  config.topology = TopologyKind::kHierarchical;  // a parent is one more node
+  EXPECT_TRUE(daemon_spec(config).validate(RunTarget::kDaemon).empty());
 }
 
 TEST(ConfigValidateTest, DaemonValidationIsASupersetOfBaseValidation) {
@@ -185,7 +193,7 @@ TEST(ConfigValidateTest, DaemonValidationIsASupersetOfBaseValidation) {
   config.num_proxies = 0;           // base violation
   config.coherence.enabled = true;  // daemon-only violation
   const std::vector<std::string> base = config.validate();
-  const std::vector<std::string> daemon = config.validate_for_daemon();
+  const std::vector<std::string> daemon = daemon_spec(config).validate(RunTarget::kDaemon);
   EXPECT_GT(daemon.size(), base.size());
   EXPECT_TRUE(mentions(daemon, "num_proxies"));
   EXPECT_TRUE(mentions(daemon, "coherence"));
@@ -200,10 +208,8 @@ TEST(ConfigValidateTest, DaemonValidationRejectsSimulatorOnlyFeatures) {
     config.aggregate_capacity = 1 * kMiB;
     mutate(config);
     EXPECT_TRUE(config.validate().empty()) << needle;
-    EXPECT_TRUE(mentions(config.validate_for_daemon(), needle)) << needle;
+    EXPECT_TRUE(mentions(daemon_spec(config).validate(RunTarget::kDaemon), needle)) << needle;
   };
-  daemon_only_error([](GroupConfig& c) { c.topology = TopologyKind::kHierarchical; },
-                    "kDistributed");
   daemon_only_error(
       [](GroupConfig& c) {
         c.routing = RoutingMode::kHashPartition;

@@ -63,8 +63,12 @@ EACACHE_JOBS=8 "$tsan_dir/tests/test_sim" \
 # handoff, barrier crossing and merge path runs under TSan while the
 # comparison proves the interleavings never leak into the result.
 "$tsan_dir/tests/test_sim" \
-  --gtest_filter='ShardEngineTest.*:ShardEngineValidationTest.*:ShardMessageCodecTest.*' \
+  --gtest_filter='ShardEngineTest.*:ShardEngineValidationTest.*' \
   --gtest_brief=1
+
+# The ProxyNode core both engines execute, driven thread-free by a
+# test-local loop: TSan confirms the node itself owns no hidden shared state.
+"$tsan_dir/tests/test_core" --gtest_filter='ProxyNodeTest.*' --gtest_brief=1
 
 # The bench harness drives the same pool through its CLI surface: a plain
 # multi-job sweep, then the event-driven pipeline arm with retries+coalescing
@@ -121,11 +125,14 @@ fi
 
 # Live-scrape leg: the StatsExposition suite drives real TCP scrapes against
 # the endpoint while poll_once samples the group — the sampler/worker/server
-# interleaving under TSan.
+# interleaving under TSan. The DaemonVsSim smoke replays then run flat,
+# 2-level and 3-level groups, so parent-chain hops cross worker threads too.
 if [ -x "$tsan_dir/tests/test_daemon" ]; then
   echo "tsan_pipeline: live stats scrape (StatsExposition + SampleStats suites)..."
   "$tsan_dir/tests/test_daemon" \
     --gtest_filter='StatsExpositionTest.*:SampleStatsTest.*' --gtest_brief=1
+  echo "tsan_pipeline: daemon smoke replays over flat and hierarchical groups..."
+  "$tsan_dir/tests/test_daemon" --gtest_filter='DaemonVsSimTest.*' --gtest_brief=1
 else
   echo "tsan_pipeline: note: $tsan_dir/tests/test_daemon not built; scrape leg skipped"
 fi

@@ -3,8 +3,7 @@
 //    shards=1 and shards={2,4,8}, EA and ad-hoc placement, flat and
 //    three-level hierarchical topologies;
 //  * request conservation (every trace request lands in GroupMetrics);
-//  * the RunSpec validation rules that fence off the unsupported subset;
-//  * the ShardMessage wire codec round trip (sim/shard_messages.h).
+//  * the RunSpec validation rules that fence off the unsupported subset.
 #include "sim/shard_engine.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "core/run_result_json.h"
-#include "sim/shard_messages.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
 
@@ -166,71 +164,6 @@ TEST(ShardEngineTest, NarrowedLookaheadPreservesTheResult) {
   RunSpec narrowed = sharded_spec(group, 4);
   narrowed.exec.lookahead_override = msec(7);
   EXPECT_EQ(simulation_result_to_json(run_sharded_simulation(trace, narrowed)), baseline);
-}
-
-// ---- wire codec ----------------------------------------------------------
-
-TEST(ShardMessageCodecTest, RoundTripsEveryField) {
-  ShardMessage message;
-  message.kind = ShardMessageKind::kParentBody;
-  message.request_index = 0x1122334455667788ULL;
-  message.hop = 3;
-  message.from = 17;
-  message.to = 4;
-  message.deliver_at = kSimEpoch + msec(987654321);
-  message.document = 0xdeadbeefcafef00dULL;
-  message.size = 64 * 1024;
-  message.status = ShardProbeStatus::kHit;
-  message.found = false;
-  message.source = ResponseSource::kOrigin;
-  message.age = ExpAge::from_millis(1234.5);
-
-  const ShardMessage decoded = decode_shard_message(encode_shard_message(message));
-  EXPECT_EQ(decoded.kind, message.kind);
-  EXPECT_EQ(decoded.request_index, message.request_index);
-  EXPECT_EQ(decoded.hop, message.hop);
-  EXPECT_EQ(decoded.from, message.from);
-  EXPECT_EQ(decoded.to, message.to);
-  EXPECT_EQ(decoded.deliver_at, message.deliver_at);
-  EXPECT_EQ(decoded.document, message.document);
-  EXPECT_EQ(decoded.size, message.size);
-  EXPECT_EQ(decoded.status, message.status);
-  EXPECT_EQ(decoded.found, message.found);
-  EXPECT_EQ(decoded.source, message.source);
-  ASSERT_TRUE(decoded.age.has_value());
-  EXPECT_EQ(decoded.age->millis(), 1234.5);
-}
-
-TEST(ShardMessageCodecTest, RoundTripsMissingAndInfiniteAges) {
-  ShardMessage no_age;
-  no_age.kind = ShardMessageKind::kIcpProbe;
-  EXPECT_FALSE(decode_shard_message(encode_shard_message(no_age)).age.has_value());
-
-  ShardMessage infinite;
-  infinite.kind = ShardMessageKind::kFetchBody;
-  infinite.age = ExpAge::infinite();
-  const ShardMessage decoded = decode_shard_message(encode_shard_message(infinite));
-  ASSERT_TRUE(decoded.age.has_value());
-  EXPECT_TRUE(decoded.age->is_infinite());
-}
-
-TEST(ShardMessageCodecTest, RejectsMalformedBuffers) {
-  ShardMessage message;
-  message.age = ExpAge::from_millis(10.0);
-  std::vector<std::uint8_t> wire = encode_shard_message(message);
-
-  std::vector<std::uint8_t> truncated(wire.begin(), wire.end() - 3);
-  EXPECT_THROW((void)decode_shard_message(truncated), std::invalid_argument);
-
-  std::vector<std::uint8_t> trailing = wire;
-  trailing.push_back(0);
-  EXPECT_THROW((void)decode_shard_message(trailing), std::invalid_argument);
-
-  std::vector<std::uint8_t> bad_kind = wire;
-  bad_kind[0] = 200;
-  EXPECT_THROW((void)decode_shard_message(bad_kind), std::invalid_argument);
-
-  EXPECT_THROW((void)decode_shard_message({}), std::invalid_argument);
 }
 
 }  // namespace
