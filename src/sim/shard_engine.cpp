@@ -40,6 +40,8 @@ struct Shard {
   /// stamped with their delivery instant; moved into the targets'
   /// mailboxes at the barrier.
   std::vector<std::vector<WireMessage>> outgoing;
+  /// This window's due mailbox messages (a buffer reused every window).
+  std::vector<WireMessage> due;
 
   /// Periodic observability samples: (series index, proxy, sample).
   struct SeriesRecord {
@@ -63,13 +65,15 @@ struct Shard {
 /// Total over any batch the engine can produce — a request never has two
 /// identical hops in flight — and independent of mailbox arrival order,
 /// which is what makes injection deterministic.
-bool delivery_order(const WireMessage& a, const WireMessage& b) {
-  if (a.stamp != b.stamp) return a.stamp < b.stamp;
-  if (a.request_id != b.request_id) return a.request_id < b.request_id;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  if (a.from != b.from) return a.from < b.from;
-  return a.to < b.to;
-}
+struct DeliveryOrder {
+  [[nodiscard]] bool operator()(const WireMessage& a, const WireMessage& b) const {
+    if (a.stamp != b.stamp) return a.stamp < b.stamp;
+    if (a.request_id != b.request_id) return a.request_id < b.request_id;
+    if (a.kind != b.kind) return a.kind < b.kind;
+    if (a.from != b.from) return a.from < b.from;
+    return a.to < b.to;
+  }
+};
 
 class ShardEngine {
  public:
@@ -194,16 +198,16 @@ class ShardEngine {
     // Inject every due mailbox message in canonical order: arrival order
     // (thread timing) is erased, which is what keeps the schedule
     // identical under every shard count.
-    std::vector<WireMessage> due;
+    std::vector<WireMessage>& due = shard.due;
     {
       MutexLock lock(shard.mailbox_mutex);
-      std::vector<WireMessage> keep;
-      for (WireMessage& message : shard.mailbox) {
-        (message.stamp < window_end ? due : keep).push_back(message);
-      }
-      shard.mailbox.swap(keep);
+      const auto later = std::partition(
+          shard.mailbox.begin(), shard.mailbox.end(),
+          [window_end](const WireMessage& message) { return message.stamp >= window_end; });
+      due.assign(later, shard.mailbox.end());
+      shard.mailbox.erase(later, shard.mailbox.end());
     }
-    std::sort(due.begin(), due.end(), delivery_order);
+    std::sort(due.begin(), due.end(), DeliveryOrder{});
     for (const WireMessage& message : due) {
       shard.queue.schedule_at(message.stamp, [this, &shard, message](TimePoint now) {
         deliver(shard, message, now);
