@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/fault_plan.h"
 #include "core/run_result.h"
 #include "core/run_spec.h"
 #include "daemon/daemon_group.h"

@@ -9,9 +9,9 @@
 // machine must reproduce the legacy figures exactly.
 //
 // The sharded_* goldens pin the sharded engine (ExecutionPolicy::shards >= 1)
-// the same way: captured from the engine as it stood before its handlers
-// moved onto the shared ProxyNode core, they hold its message schedule
-// (hop delays, in-flight overlap) fixed across refactors.
+// the same way. Its hop delays let requests overlap in flight, so its
+// results differ from the classic driver's; these hold that message
+// schedule fixed.
 //
 // Regenerate (only when a change is MEANT to alter legacy results):
 //   EACACHE_UPDATE_GOLDEN=1 ./test_sim --gtest_filter='PipelineRegression*'
