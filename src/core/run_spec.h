@@ -53,7 +53,8 @@ struct ExecutionPolicy {
 enum class RunTarget { kSimulation, kDaemon };
 
 /// The sharded engine's simulated delays (DESIGN.md §14), derived from the
-/// LatencyModel so a request's hops add up to its paper charge.
+/// LatencyModel: the ICP round trip split in two, each transfer net of the
+/// request hop that precedes it.
 struct HopDelays {
   Duration probe{};   ///< ICP query out; sibling and parent request hops
   Duration reply{};   ///< ICP reply back (probe + reply = icp_rtt)
