@@ -72,6 +72,18 @@ const Trace& dense_trace() {
   return trace;
 }
 
+// ShardEngineTest's tree: 16 leaves under 4 mid caches under one root.
+GroupConfig three_level_group() {
+  GroupConfig config;
+  std::vector<std::optional<ProxyId>> parents(21);
+  for (ProxyId leaf = 0; leaf < 16; ++leaf) parents[leaf] = static_cast<ProxyId>(16 + leaf / 4);
+  for (ProxyId mid = 16; mid < 20; ++mid) parents[mid] = 20;
+  config.topology = TopologyKind::kHierarchical;
+  config.custom_parents = std::move(parents);
+  config.placement = PlacementKind::kEa;
+  return config;
+}
+
 RunSpec spec_for(GroupConfig group, std::size_t shards = 0) {
   RunSpec spec;
   spec.group = std::move(group);
@@ -184,15 +196,45 @@ TEST(PipelineRegression, ShardedEaHierarchical) {
 TEST(PipelineRegression, ShardedEaThreeLevel) {
   // 16 leaves under 4 mid caches under one root: parent chains forward
   // through an intermediate node while other requests are in flight.
-  GroupConfig config;
-  std::vector<std::optional<ProxyId>> parents(21);
-  for (ProxyId leaf = 0; leaf < 16; ++leaf) parents[leaf] = static_cast<ProxyId>(16 + leaf / 4);
-  for (ProxyId mid = 16; mid < 20; ++mid) parents[mid] = 20;
-  config.topology = TopologyKind::kHierarchical;
-  config.custom_parents = std::move(parents);
+  GroupConfig config = three_level_group();
   config.aggregate_capacity = 4 * kMiB;
-  config.placement = PlacementKind::kEa;
   check_against_golden("sharded_ea_three_level", spec_for(config, 4), dense_trace());
+}
+
+// The sharded_merge_order_* goldens pin the order in which a shard fires
+// the events that share an instant: pre-scheduled series samples and
+// flushes, origin timers, delivered messages and admissions. A miss costs
+// local_lookup + icp_rtt + 3 ms, so the origin timer (1 ms after the
+// request hop) fires inside the window that set it; a flush and an outage
+// land mid-run. A wrong tie order keeps the result shard-count invariant,
+// so only a golden can catch it.
+RunSpec merge_order_spec(GroupConfig group) {
+  group.aggregate_capacity = 2 * kMiB;
+  group.placement = PlacementKind::kEa;
+  group.latency.miss = group.latency.local_lookup + group.latency.icp_rtt + msec(3);
+  RunSpec spec = spec_for(std::move(group), 3);
+  spec.faults.flushes.push_back({kSimEpoch + sec(20), 3});
+  spec.faults.outages.push_back({2, kSimEpoch + sec(10), kSimEpoch + sec(30)});
+  return spec;
+}
+
+TEST(PipelineRegression, ShardedMergeOrderFlat) {
+  GroupConfig config;
+  config.num_proxies = 8;
+  check_against_golden("sharded_merge_order_flat", merge_order_spec(config), dense_trace());
+}
+
+TEST(PipelineRegression, ShardedMergeOrderThreeLevel) {
+  check_against_golden("sharded_merge_order_three_level", merge_order_spec(three_level_group()),
+                       dense_trace());
+}
+
+TEST(PipelineRegression, ShardedMergeOrderThreeLevel512K) {
+  // At 512 KiB the order of a delivered message and an admission that share
+  // an instant shows in the result, which it does not at 2 MiB.
+  RunSpec spec = merge_order_spec(three_level_group());
+  spec.group.aggregate_capacity = 512 * kKiB;
+  check_against_golden("sharded_merge_order_three_level_512k", spec, dense_trace());
 }
 
 }  // namespace
