@@ -79,21 +79,19 @@ void ProxyNode::on_client_request(const WireMessage& message, TimePoint now, Out
 
   // 2. ICP fan-out to the siblings and the parent; the replies drive the
   // rest of the request from on_icp_reply.
-  std::vector<ProxyId> targets = group_.topology.siblings_of(id());
-  if (const auto parent = group_.topology.parent_of(id())) targets.push_back(*parent);
-  if (targets.empty()) {
+  homed.awaiting_replies = group_.topology.peer_count(id());
+  if (homed.awaiting_replies == 0) {
     resolve_group_miss(message.request_id, homed, now, out);
     return;
   }
-  homed.awaiting_replies = targets.size();
-  for (const ProxyId target : targets) {
+  group_.topology.for_each_peer(id(), [&](ProxyId target) {
     accounting_.transport.record_icp_query(IcpQuery{id(), target, message.document});
     accounting_.counters.icp_queries.inc();
     WireMessage query = outbound(Kind::kIcpQuery, target, message.request_id, message.document, now);
     query.span_id = homed.root_span;  // the peer's probe span links under our root
     query.hop = 1;
     out.push_back(query);
-  }
+  });
 }
 
 void ProxyNode::on_icp_query(const WireMessage& message, TimePoint now, Outbox& out) {

@@ -33,7 +33,7 @@ namespace eacache {
 ///  * shards == 0 — the classic driver: one thread, one EventQueue
 ///    (sim/simulator.h; the event-driven pipeline rides this path too).
 ///  * shards >= 1 — the sharded parallel engine: the proxy topology is
-///    partitioned into `shards` shards, each with its own EventQueue and
+///    partitioned into `shards` shards, each with its own timer heap and
 ///    clock, synchronized by conservative lookahead windows
 ///    (sim/shard_engine.h). shards == 1 runs the same message-driven
 ///    semantics on one thread — the determinism baseline for N > 1.

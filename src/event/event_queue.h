@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <queue>
 #include <unordered_set>
 #include <vector>
@@ -65,15 +64,6 @@ class EventQueue {
 
   /// Execute exactly one event if any is pending. Returns false if empty.
   bool step();
-
-  /// Firing time of the earliest live event, or nullopt when drained.
-  /// Non-const: pops lazily-cancelled entries off the top. The sharded
-  /// engine's barrier uses this to compute the next synchronization window.
-  [[nodiscard]] std::optional<TimePoint> next_time() {
-    skip_cancelled();
-    if (heap_.empty()) return std::nullopt;
-    return heap_.top().at;
-  }
 
   [[nodiscard]] bool empty() const { return heap_.size() == cancelled_.size(); }
   /// Live (uncancelled) events still scheduled.

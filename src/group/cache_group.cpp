@@ -299,8 +299,9 @@ bool CacheGroup::peer_down(ProxyId proxy, TimePoint at) const {
 }
 
 std::vector<ProxyId> CacheGroup::probe_targets(ProxyId requester) const {
-  std::vector<ProxyId> targets = topology_.siblings_of(requester);
-  if (const auto parent = topology_.parent_of(requester)) targets.push_back(*parent);
+  std::vector<ProxyId> targets;
+  targets.reserve(topology_.peer_count(requester));
+  topology_.for_each_peer(requester, [&targets](ProxyId peer) { targets.push_back(peer); });
   return targets;
 }
 
@@ -356,11 +357,11 @@ std::vector<ProxyId> CacheGroup::digest_candidates(ProxyId requester,
                                                    DocumentId document) const {
   const std::vector<ProxyId> claimed = digest_directory_.candidates(document);
   std::vector<ProxyId> candidates;
-  for (const ProxyId target : probe_targets(requester)) {
+  topology_.for_each_peer(requester, [&](ProxyId target) {
     if (std::binary_search(claimed.begin(), claimed.end(), target)) {
       candidates.push_back(target);
     }
-  }
+  });
   return candidates;
 }
 
@@ -368,11 +369,11 @@ std::vector<ProxyId> CacheGroup::discover_candidates(ProxyCache& requester,
                                                      const Request& request) {
   std::vector<ProxyId> candidates;
   if (config_.discovery == DiscoveryMode::kIcp) {
-    for (const ProxyId target : probe_targets(requester.id())) {
+    topology_.for_each_peer(requester.id(), [&](ProxyId target) {
       if (probe_peer(requester, target, request, request.at) == ProbeResult::kHit) {
         candidates.push_back(target);
       }
-    }
+    });
   } else {
     candidates = digest_candidates(requester.id(), request.document);
   }

@@ -400,7 +400,9 @@ class CacheGroup {
   enum class ProbeResult { kLost, kMiss, kHit };
   ProbeResult probe_peer(ProxyCache& requester, ProxyId target, const Request& request,
                          TimePoint now);
-  /// Peers the probe fan-out targets: siblings plus the parent, if any.
+  /// Peers the probe fan-out targets: siblings plus the parent, if any
+  /// (the event-driven pipeline's probe rounds; the serialized path walks
+  /// Topology::for_each_peer instead).
   [[nodiscard]] std::vector<ProxyId> probe_targets(ProxyId requester) const;
   /// Digest-mode candidates (free, approximate), unsorted.
   [[nodiscard]] std::vector<ProxyId> digest_candidates(ProxyId requester,

@@ -57,14 +57,32 @@ Topology::Topology(TopologyKind kind, std::vector<std::optional<ProxyId>> parent
   if (client_facing_.empty()) {
     throw std::invalid_argument("Topology: no client-facing cache");
   }
+
+  // Sibling groups, keyed by parent id; key n is the parentless caches.
+  const std::size_t n = parents_.size();
+  constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> group_by_parent(n + 1, kNoGroup);
+  group_of_.resize(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    std::size_t& group = group_by_parent[parents_[p] ? *parents_[p] : n];
+    if (group == kNoGroup) {
+      group = sibling_groups_.size();
+      sibling_groups_.emplace_back();
+    }
+    sibling_groups_[group].push_back(static_cast<ProxyId>(p));
+    group_of_[p] = group;
+  }
+}
+
+const std::vector<ProxyId>& Topology::sibling_group(ProxyId p) const {
+  if (p >= parents_.size()) throw std::invalid_argument("Topology: bad proxy id");
+  return sibling_groups_[group_of_[p]];
 }
 
 std::vector<ProxyId> Topology::siblings_of(ProxyId p) const {
-  if (p >= parents_.size()) throw std::invalid_argument("Topology: bad proxy id");
   std::vector<ProxyId> result;
-  for (std::size_t q = 0; q < parents_.size(); ++q) {
-    if (q == p) continue;
-    if (parents_[q] == parents_[p]) result.push_back(static_cast<ProxyId>(q));
+  for (const ProxyId q : sibling_group(p)) {
+    if (q != p) result.push_back(q);
   }
   return result;
 }

@@ -46,12 +46,36 @@ class Topology {
   /// Excludes `p` itself.
   [[nodiscard]] std::vector<ProxyId> siblings_of(ProxyId p) const;
 
+  /// The caches `p`'s ICP fan-out queries: calls `fn(peer)` for each
+  /// sibling in ascending id order, then for the parent, if any. Walks the
+  /// sibling group built at construction and allocates nothing.
+  template <typename Fn>
+  void for_each_peer(ProxyId p, Fn&& fn) const {
+    for (const ProxyId q : sibling_group(p)) {
+      if (q != p) fn(q);
+    }
+    if (parents_[p]) fn(*parents_[p]);
+  }
+
+  /// How many caches for_each_peer(p, ...) visits.
+  [[nodiscard]] std::size_t peer_count(ProxyId p) const {
+    return sibling_group(p).size() - 1 + (parents_[p] ? 1 : 0);
+  }
+
  private:
   Topology(TopologyKind kind, std::vector<std::optional<ProxyId>> parents);
+
+  /// `p` and its siblings, ascending. Throws std::invalid_argument on a
+  /// bad id.
+  [[nodiscard]] const std::vector<ProxyId>& sibling_group(ProxyId p) const;
 
   TopologyKind kind_;
   std::vector<std::optional<ProxyId>> parents_;
   std::vector<ProxyId> client_facing_;
+  /// Caches grouped by parent (the parentless caches form one group), each
+  /// group ascending: one list per parent, N ids in all.
+  std::vector<std::vector<ProxyId>> sibling_groups_;
+  std::vector<std::size_t> group_of_;  // by proxy id
 };
 
 }  // namespace eacache

@@ -67,15 +67,15 @@ class Transport {
  public:
   explicit Transport(WireCosts costs = WireCosts{}) : costs_(costs) {}
 
-  /// Attach a metric registry (which must outlive the transport) and
-  /// pre-size the per-link counter table for `num_caches` proxies. Link
-  /// counters themselves are created lazily on first traffic, so a sparse
-  /// topology registers only the links it actually uses.
+  /// Attach a metric registry (which must outlive the transport) for a
+  /// group of `num_caches` proxies. A sender's row of the per-link counter
+  /// table is allocated on its first traffic and each link counter is
+  /// registered on the link's first traffic, so a transport that sends from
+  /// a few proxies, or over a sparse topology, pays only for what it uses.
   void bind_registry(MetricRegistry* registry, std::size_t num_caches) {
     registry_ = (registry != nullptr && registry->enabled()) ? registry : nullptr;
     num_caches_ = num_caches;
-    links_.assign(registry_ != nullptr ? num_caches * (num_caches + 1) : 0,
-                  MetricRegistry::Counter{});
+    links_.assign(registry_ != nullptr ? num_caches : 0, {});
   }
 
   void record_icp_query(const IcpQuery& query) {
@@ -138,7 +138,9 @@ class Transport {
     if (registry_ == nullptr || from >= num_caches_) return;
     const std::size_t column = to == kOriginLink ? num_caches_ : to;
     if (column > num_caches_) return;
-    MetricRegistry::Counter& counter = links_[from * (num_caches_ + 1) + column];
+    std::vector<MetricRegistry::Counter>& row = links_[from];
+    if (row.empty()) row.resize(num_caches_ + 1);
+    MetricRegistry::Counter& counter = row[column];
     if (!counter.bound()) {
       const std::string peer =
           column == num_caches_ ? std::string("origin") : std::to_string(column);
@@ -151,7 +153,9 @@ class Transport {
   TransportStats stats_;
   MetricRegistry* registry_ = nullptr;  // null = per-link accounting off
   std::size_t num_caches_ = 0;
-  std::vector<MetricRegistry::Counter> links_;
+  /// links_[from][to], the origin in the last column; empty rows are
+  /// senders with no traffic yet.
+  std::vector<std::vector<MetricRegistry::Counter>> links_;
 };
 
 }  // namespace eacache

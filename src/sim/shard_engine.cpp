@@ -1,6 +1,7 @@
 #include "sim/shard_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -13,22 +14,50 @@
 #include "common/thread_annotations.h"
 #include "core/proxy_node.h"
 #include "core/wall_timer.h"
-#include "event/event_queue.h"
 #include "group/partition.h"
 
 namespace eacache {
 
 namespace {
 
-/// One shard: an EventQueue, the accounting unit its nodes charge, and the
-/// mailbox. The mailbox is the ONLY state other threads touch.
+/// An entry of a shard's timer heap: a pre-scheduled series sample or cache
+/// flush, or an origin timer a node set. Plain data; fires in (instant,
+/// sequence) order.
+struct Timer {
+  enum class Kind : std::uint8_t { kSeriesSample, kFlush, kOriginFetch };
+
+  TimePoint at{};
+  std::uint64_t seq = 0;
+  Kind kind = Kind::kOriginFetch;
+  std::size_t series_index = 0;  ///< kSeriesSample: which sample point
+  /// kOriginFetch: the fetch, fed back to node message.to when it fires;
+  /// kFlush: message.to is the cache to flush.
+  WireMessage message;
+};
+
+/// Heap order (std::push_heap is a max-heap): the earliest (at, seq) on top.
+struct TimerLater {
+  [[nodiscard]] bool operator()(const Timer& a, const Timer& b) const {
+    if (a.at != b.at) return a.at > b.at;
+    return a.seq > b.seq;
+  }
+};
+
+/// One shard: its timer heap, the accounting unit its nodes charge, and
+/// the mailbox. The mailbox is the ONLY state other threads touch.
 struct Shard {
   // ---- single-owner state (the shard's worker thread) -------------------
   explicit Shard(const GroupView& group) : accounting(group) {}
 
   std::size_t index = 0;
-  EventQueue queue;
   NodeAccounting accounting;
+  /// The instant of the event firing now (kSimEpoch before the first).
+  /// No timer may be set before it.
+  TimePoint now = kSimEpoch;
+  /// Min-heap on (at, seq) under TimerLater. Sequence numbers rise in
+  /// scheduling order: pre-scheduled events hold the lowest.
+  std::vector<Timer> timers;
+  std::uint64_t next_seq = 0;
 
   /// Trace indices whose home proxy lives here, ascending (= time order).
   std::vector<std::uint64_t> admissions;
@@ -56,15 +85,15 @@ struct Shard {
   Mutex mailbox_mutex;
   /// Messages addressed to this shard, not yet injected.
   std::vector<WireMessage> mailbox EACACHE_GUARDED_BY(mailbox_mutex);
-  /// This shard's earliest purely-local pending work (queue + admissions),
+  /// This shard's earliest purely-local pending work (timers + admissions),
   /// published just before arriving at the barrier.
   std::optional<TimePoint> next_local EACACHE_GUARDED_BY(mailbox_mutex);
 };
 
-/// Barrier injection order: (delivery instant, request id, kind, from, to).
+/// Mailbox batch order: (delivery instant, request id, kind, from, to).
 /// Total over any batch the engine can produce — a request never has two
 /// identical hops in flight — and independent of mailbox arrival order,
-/// which is what makes injection deterministic.
+/// which is what makes the batch's fire order deterministic.
 struct DeliveryOrder {
   [[nodiscard]] bool operator()(const WireMessage& a, const WireMessage& b) const {
     if (a.stamp != b.stamp) return a.stamp < b.stamp;
@@ -89,19 +118,21 @@ class ShardEngine {
 
   SimulationResult run(PhaseTimings* timings) {
     const WallTimer sim_timer;
+    std::optional<TimePoint> first_window;
     {
       MutexLock lock(round_mutex_);
       for (auto& shard : shards_) publish_next_local(*shard);
       compute_next_window();
+      first_window = next_window();
     }
-    if (!is_done()) {
+    if (first_window.has_value()) {
       if (shards_.size() == 1) {
-        worker(0);
+        worker(0, *first_window);
       } else {
         std::vector<std::thread> workers;
         workers.reserve(shards_.size());
         for (std::size_t s = 0; s < shards_.size(); ++s) {
-          workers.emplace_back([this, s] { worker(s); });
+          workers.emplace_back([this, s, start = *first_window] { worker(s, start); });
         }
         for (std::thread& w : workers) w.join();
       }
@@ -141,7 +172,7 @@ class ShardEngine {
     }
 
     // Pre-scheduled events get the LOWEST sequence numbers, so at equal
-    // timestamps they fire before any injected message or admission — the
+    // timestamps they fire before any timer, message or admission — the
     // same relative order under every shard count. Series first, then
     // flushes, mirroring the classic driver's scheduling order.
     if (config.obs.series_points > 0 && !trace_.empty()) {
@@ -150,35 +181,33 @@ class ShardEngine {
       const Duration period = std::max(
           msec(1), (back - front) / static_cast<SimClock::rep>(config.obs.series_points));
       for (auto& shard : shards_) {
-        Shard* raw = shard.get();
         std::size_t index = 0;
         for (TimePoint t = front + period; t <= back; t += period, ++index) {
-          shard->queue.schedule_at(t, [this, raw, index](TimePoint at) {
-            sample_series(*raw, index, at);
-          });
+          Timer sample;
+          sample.at = t;
+          sample.kind = Timer::Kind::kSeriesSample;
+          sample.series_index = index;
+          schedule(*shard, sample);
         }
       }
     }
     for (const FaultPlan::Flush& flush : spec_.faults.flushes) {
-      Shard* shard = shards_[partition_.shard_of[flush.proxy]].get();
-      ProxyNode* node = nodes_[flush.proxy].get();
-      shard->queue.schedule_at(flush.at, [node](TimePoint at) { node->cache().flush(at); });
+      Timer timer;
+      timer.at = flush.at;
+      timer.kind = Timer::Kind::kFlush;
+      timer.message.to = flush.proxy;
+      schedule(*shards_[partition_.shard_of[flush.proxy]], timer);
     }
   }
 
   // ---- window loop ------------------------------------------------------
 
-  void worker(std::size_t s) {
+  void worker(std::size_t s, TimePoint first_window) {
     Shard& shard = *shards_[s];
-    while (true) {
-      TimePoint window_start;
-      {
-        MutexLock lock(round_mutex_);
-        if (done_) return;
-        window_start = window_start_;
-      }
+    std::optional<TimePoint> window = first_window;
+    while (window.has_value()) {
       try {
-        process_window(shard, window_start);
+        process_window(shard, *window);
         flush_outgoing(shard);
         {
           MutexLock lock(shard.mailbox_mutex);
@@ -188,14 +217,20 @@ class ShardEngine {
         MutexLock lock(round_mutex_);
         if (!failure_) failure_ = std::current_exception();
       }
-      barrier_arrive();
+      window = barrier_arrive();
     }
   }
 
+  /// Fire everything due in [window_start, window_start + W) as one merge
+  /// of three sources: the mailbox batch sorted in DeliveryOrder, this
+  /// window's admissions in trace order, and the timer heap. At one
+  /// instant the order is: timers set before this window (pre-scheduled
+  /// ones first), then the batch, then the admissions, then timers set
+  /// during this window — the order every shard count reproduces.
   void process_window(Shard& shard, TimePoint window_start) {
     const TimePoint window_end = window_start + lookahead_;
 
-    // Inject every due mailbox message in canonical order: arrival order
+    // Take every due mailbox message in canonical order: arrival order
     // (thread timing) is erased, which is what keeps the schedule
     // identical under every shard count.
     std::vector<WireMessage>& due = shard.due;
@@ -208,25 +243,36 @@ class ShardEngine {
       shard.mailbox.erase(later, shard.mailbox.end());
     }
     std::sort(due.begin(), due.end(), DeliveryOrder{});
-    for (const WireMessage& message : due) {
-      shard.queue.schedule_at(message.stamp, [this, &shard, message](TimePoint now) {
-        deliver(shard, message, now);
-      });
-    }
 
-    // Then this window's admissions, in trace order.
-    while (shard.next_admission < shard.admissions.size()) {
-      const std::uint64_t index = shard.admissions[shard.next_admission];
-      const Request& request = trace_.requests[index];
-      if (request.at >= window_end) break;
-      shard.queue.schedule_at(request.at, [this, &shard, index](TimePoint now) {
-        admit(shard, index, now);
-      });
-      ++shard.next_admission;
-    }
+    const std::uint64_t first_new_timer = shard.next_seq;
+    std::size_t next_due = 0;
+    while (true) {
+      const bool has_timer = !shard.timers.empty() && shard.timers.front().at < window_end;
+      const bool has_message = next_due < due.size();
+      const bool has_admission = shard.next_admission < shard.admissions.size() &&
+                                 admission_at(shard) < window_end;
+      if (!has_timer && !has_message && !has_admission) break;
 
-    // run_until is inclusive, so stop one tick short of the next window.
-    shard.queue.run_until(window_end - msec(1));
+      TimePoint at = kSimTimeMax;
+      if (has_timer) at = shard.timers.front().at;
+      if (has_message) at = std::min(at, due[next_due].stamp);
+      if (has_admission) at = std::min(at, admission_at(shard));
+      shard.now = at;
+      if (has_timer && shard.timers.front().at == at &&
+          shard.timers.front().seq < first_new_timer) {
+        fire_timer(shard);
+      } else if (has_message && due[next_due].stamp == at) {
+        deliver(shard, due[next_due++], at);
+      } else if (has_admission && admission_at(shard) == at) {
+        admit(shard, shard.admissions[shard.next_admission++], at);
+      } else {
+        fire_timer(shard);
+      }
+    }
+  }
+
+  [[nodiscard]] TimePoint admission_at(const Shard& shard) const {
+    return trace_.requests[shard.admissions[shard.next_admission]].at;
   }
 
   void flush_outgoing(Shard& shard) {
@@ -246,26 +292,46 @@ class ShardEngine {
   }
 
   void publish_next_local_locked(Shard& shard) EACACHE_REQUIRES(shard.mailbox_mutex) {
-    std::optional<TimePoint> next = shard.queue.next_time();
+    std::optional<TimePoint> next;
+    if (!shard.timers.empty()) next = shard.timers.front().at;
     if (shard.next_admission < shard.admissions.size()) {
-      const TimePoint admission =
-          trace_.requests[shard.admissions[shard.next_admission]].at;
-      next = next.has_value() ? std::min(*next, admission) : admission;
+      next = next.has_value() ? std::min(*next, admission_at(shard)) : admission_at(shard);
     }
     shard.next_local = next;
   }
 
-  void barrier_arrive() {
-    MutexLock lock(round_mutex_);
-    if (++waiting_ == shards_.size()) {
-      waiting_ = 0;
-      compute_next_window();
-      ++generation_;
-      round_cv_.notify_all();
-    } else {
-      const std::uint64_t generation = generation_;
-      while (generation_ == generation) round_cv_.wait(round_mutex_);
+  /// Arrive at the window barrier; returns the next window's start, or
+  /// nullopt once the run is over. The last arriver computes the next
+  /// window and bumps the generation. The others poll the generation,
+  /// yielding their CPU between polls, kBarrierPolls times before they park
+  /// on round_cv_: a window is microseconds of work, a park costs a futex
+  /// wake-up per window, and a yield hands an oversubscribed CPU (more
+  /// shards than cores) to a shard that still has work.
+  std::optional<TimePoint> barrier_arrive() EACACHE_EXCLUDES(round_mutex_) {
+    std::uint64_t generation = 0;
+    {
+      MutexLock lock(round_mutex_);
+      generation = generation_.load(std::memory_order_relaxed);
+      if (++waiting_ == shards_.size()) {
+        waiting_ = 0;
+        compute_next_window();
+        generation_.store(generation + 1, std::memory_order_release);
+        round_cv_.notify_all();
+        return next_window();
+      }
     }
+    for (int poll = 0; poll < kBarrierPolls; ++poll) {
+      if (generation_.load(std::memory_order_acquire) != generation) break;
+      std::this_thread::yield();
+    }
+    MutexLock lock(round_mutex_);
+    while (generation_.load(std::memory_order_relaxed) == generation) round_cv_.wait(round_mutex_);
+    return next_window();
+  }
+
+  [[nodiscard]] std::optional<TimePoint> next_window() const EACACHE_REQUIRES(round_mutex_) {
+    if (done_) return std::nullopt;
+    return window_start_;
   }
 
   /// Last barrier arriver: the next window starts at the global earliest
@@ -292,11 +358,6 @@ class ShardEngine {
       return;
     }
     window_start_ = kSimEpoch + lookahead_ * ((*global - kSimEpoch) / lookahead_);
-  }
-
-  [[nodiscard]] bool is_done() EACACHE_EXCLUDES(round_mutex_) {
-    MutexLock lock(round_mutex_);
-    return done_;
   }
 
   void rethrow_failure() EACACHE_EXCLUDES(round_mutex_) {
@@ -326,17 +387,19 @@ class ShardEngine {
 
   /// Run one node handler, then schedule its outbox: every send rides the
   /// mailbox (same-shard sends included) due after its hop delay, origin
-  /// timers go straight onto this shard's queue, and completions need
-  /// nothing — the node already charged GroupMetrics.
+  /// timers go onto this shard's timer heap, and completions need nothing —
+  /// the node already charged GroupMetrics.
   void deliver(Shard& shard, const WireMessage& message, TimePoint now) {
     nodes_[message.to]->handle(message, now, shard.out);
     for (WireMessage& sent : shard.out) {
       switch (sent.kind) {
-        case WireMessage::Kind::kOriginFetch:
-          shard.queue.schedule_at(now + delays_.origin, [this, &shard, sent](TimePoint at) {
-            deliver(shard, sent, at);
-          });
+        case WireMessage::Kind::kOriginFetch: {
+          Timer timer;
+          timer.at = now + delays_.origin;
+          timer.message = sent;
+          schedule(shard, timer);
           break;
+        }
         case WireMessage::Kind::kCompletion:
           break;
         default:
@@ -345,6 +408,33 @@ class ShardEngine {
       }
     }
     shard.out.clear();
+  }
+
+  void schedule(Shard& shard, Timer timer) {
+    if (timer.at < shard.now) {
+      throw std::logic_error("shard engine: timer scheduled in the past");
+    }
+    timer.seq = shard.next_seq++;
+    shard.timers.push_back(timer);
+    std::push_heap(shard.timers.begin(), shard.timers.end(), TimerLater{});
+  }
+
+  /// Pop the heap's top and fire it at shard.now.
+  void fire_timer(Shard& shard) {
+    std::pop_heap(shard.timers.begin(), shard.timers.end(), TimerLater{});
+    const Timer timer = shard.timers.back();
+    shard.timers.pop_back();
+    switch (timer.kind) {
+      case Timer::Kind::kSeriesSample:
+        sample_series(shard, timer.series_index, timer.at);
+        break;
+      case Timer::Kind::kFlush:
+        nodes_[timer.message.to]->cache().flush(timer.at);
+        break;
+      case Timer::Kind::kOriginFetch:
+        deliver(shard, timer.message, timer.at);
+        break;
+    }
   }
 
   [[nodiscard]] Duration hop_delay(WireMessage::Kind kind) const {
@@ -410,10 +500,15 @@ class ShardEngine {
   /// Indexed by proxy id; node p runs only on shard partition_.shard_of[p].
   std::vector<std::unique_ptr<ProxyNode>> nodes_;
 
+  /// Barrier polls before a waiter parks (see barrier_arrive).
+  static constexpr int kBarrierPolls = 1000;
+
   Mutex round_mutex_;
   CondVar round_cv_;
   std::size_t waiting_ EACACHE_GUARDED_BY(round_mutex_) = 0;
-  std::uint64_t generation_ EACACHE_GUARDED_BY(round_mutex_) = 0;
+  /// Windows completed. Written only under round_mutex_ (after the next
+  /// window is computed); atomic so waiters can poll it without the lock.
+  std::atomic<std::uint64_t> generation_{0};
   TimePoint window_start_ EACACHE_GUARDED_BY(round_mutex_){};
   bool done_ EACACHE_GUARDED_BY(round_mutex_) = false;
   std::exception_ptr failure_ EACACHE_GUARDED_BY(round_mutex_);

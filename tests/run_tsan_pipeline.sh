@@ -60,10 +60,13 @@ EACACHE_JOBS=8 "$tsan_dir/tests/test_sim" \
 
 # Sharded parallel engine: the determinism suite runs the same trace at 1, 2,
 # 4 and 8 shard threads and byte-compares the result JSON, so every mailbox
-# handoff, barrier crossing and merge path runs under TSan while the
-# comparison proves the interleavings never leak into the result.
+# handoff, barrier crossing (the atomic generation poll and the CondVar park)
+# and merge path runs under TSan while the comparison proves the
+# interleavings never leak into the result. The sharded goldens check the
+# same threaded runs against results pinned before, not only against each
+# other.
 "$tsan_dir/tests/test_sim" \
-  --gtest_filter='ShardEngineTest.*:ShardEngineValidationTest.*' \
+  --gtest_filter='ShardEngineTest.*:ShardEngineValidationTest.*:PipelineRegression.Sharded*' \
   --gtest_brief=1
 
 # The ProxyNode core both engines execute, driven thread-free by a
