@@ -1,7 +1,7 @@
 // Deterministic topology partitioning for the sharded simulation engine.
 //
-// The sharded engine (sim/shard_engine.h) gives each shard its own event
-// queue, clock and disjoint subset of the group's proxies; everything that
+// The sharded engine (sim/shard_engine.h) gives each shard its own timer
+// heap, clock and disjoint subset of the group's proxies; everything that
 // crosses the cut becomes an explicit shard-crossing message. The cut is
 // computed here, as a pure function of (topology, requested shards):
 //

@@ -83,12 +83,20 @@ struct Shard {
 
   // ---- shared state (any thread, at barriers) ---------------------------
   Mutex mailbox_mutex;
-  /// Messages addressed to this shard, not yet injected.
+  /// Messages addressed to this shard, not yet due.
   std::vector<WireMessage> mailbox EACACHE_GUARDED_BY(mailbox_mutex);
+  /// The earliest stamp in `mailbox`, kept by the senders and the owner so
+  /// that the barrier reads it instead of scanning the mailbox.
+  std::optional<TimePoint> mailbox_first EACACHE_GUARDED_BY(mailbox_mutex);
   /// This shard's earliest purely-local pending work (timers + admissions),
   /// published just before arriving at the barrier.
   std::optional<TimePoint> next_local EACACHE_GUARDED_BY(mailbox_mutex);
 };
+
+/// Lower `earliest` to `at` if `at` comes first or nothing was pending.
+void keep_earliest(std::optional<TimePoint>& earliest, TimePoint at) {
+  if (!earliest.has_value() || at < *earliest) earliest = at;
+}
 
 /// Mailbox batch order: (delivery instant, request id, kind, from, to).
 /// Total over any batch the engine can produce — a request never has two
@@ -241,6 +249,10 @@ class ShardEngine {
           [window_end](const WireMessage& message) { return message.stamp >= window_end; });
       due.assign(later, shard.mailbox.end());
       shard.mailbox.erase(later, shard.mailbox.end());
+      shard.mailbox_first.reset();
+      for (const WireMessage& message : shard.mailbox) {
+        keep_earliest(shard.mailbox_first, message.stamp);
+      }
     }
     std::sort(due.begin(), due.end(), DeliveryOrder{});
 
@@ -279,9 +291,12 @@ class ShardEngine {
     for (std::size_t t = 0; t < shards_.size(); ++t) {
       std::vector<WireMessage>& batch = shard.outgoing[t];
       if (batch.empty()) continue;
+      std::optional<TimePoint> first;
+      for (const WireMessage& message : batch) keep_earliest(first, message.stamp);
       Shard& target = *shards_[t];
       MutexLock lock(target.mailbox_mutex);
       target.mailbox.insert(target.mailbox.end(), batch.begin(), batch.end());
+      keep_earliest(target.mailbox_first, *first);
       batch.clear();
     }
   }
@@ -294,9 +309,7 @@ class ShardEngine {
   void publish_next_local_locked(Shard& shard) EACACHE_REQUIRES(shard.mailbox_mutex) {
     std::optional<TimePoint> next;
     if (!shard.timers.empty()) next = shard.timers.front().at;
-    if (shard.next_admission < shard.admissions.size()) {
-      next = next.has_value() ? std::min(*next, admission_at(shard)) : admission_at(shard);
-    }
+    if (shard.next_admission < shard.admissions.size()) keep_earliest(next, admission_at(shard));
     shard.next_local = next;
   }
 
@@ -345,13 +358,8 @@ class ShardEngine {
     std::optional<TimePoint> global;
     for (auto& shard : shards_) {
       MutexLock lock(shard->mailbox_mutex);
-      if (shard->next_local.has_value()) {
-        global = global.has_value() ? std::min(*global, *shard->next_local)
-                                    : *shard->next_local;
-      }
-      for (const WireMessage& message : shard->mailbox) {
-        global = global.has_value() ? std::min(*global, message.stamp) : message.stamp;
-      }
+      if (shard->next_local.has_value()) keep_earliest(global, *shard->next_local);
+      if (shard->mailbox_first.has_value()) keep_earliest(global, *shard->mailbox_first);
     }
     if (!global.has_value()) {
       done_ = true;
