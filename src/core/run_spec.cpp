@@ -22,6 +22,33 @@ Duration default_lookahead(const LatencyModel& latency) {
   return std::max(msec(1), std::min({delays.probe, delays.reply, delays.body}));
 }
 
+ShardLags shard_lags(const Topology& topology, const TopologyPartition& partition,
+                     const HopDelays& delays, Duration window) {
+  ShardLags lags(partition.shards, std::vector<std::optional<std::int64_t>>(partition.shards));
+  const auto link = [&](ProxyId from, ProxyId to, Duration delay) {
+    const std::uint32_t r = partition.shard_of[from];
+    const std::uint32_t s = partition.shard_of[to];
+    if (r == s) return;
+    const std::int64_t windows = delay / window;
+    std::optional<std::int64_t>& lag = lags[r][s];
+    if (!lag.has_value() || windows < *lag) lag = windows;
+  };
+  const Duration answer = std::min(delays.reply, delays.body);
+  for (const ProxyId home : topology.client_facing()) {
+    topology.for_each_peer(home, [&](ProxyId peer) {
+      link(home, peer, delays.probe);
+      link(peer, home, answer);
+    });
+  }
+  for (ProxyId child = 0; child < static_cast<ProxyId>(topology.num_proxies()); ++child) {
+    if (const auto parent = topology.parent_of(child)) {
+      link(child, *parent, delays.probe);
+      link(*parent, child, delays.body);
+    }
+  }
+  return lags;
+}
+
 std::vector<std::string> RunSpec::validate(RunTarget target) const {
   std::vector<std::string> errors = group.validate();
   const auto fail = [&errors](std::string message) { errors.push_back(std::move(message)); };

@@ -18,6 +18,7 @@
 // shards=1 equals shards=N bit for bit.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,6 +26,8 @@
 #include "common/types.h"
 #include "core/fault_plan.h"
 #include "group/cache_group.h"
+#include "group/partition.h"
+#include "group/topology.h"
 #include "net/latency_model.h"
 
 namespace eacache {
@@ -68,6 +71,20 @@ struct HopDelays {
 /// min of the probe, reply and body-return hops. This is the widest safe
 /// lookahead window (20 ms under paper defaults: icp_rtt/2).
 [[nodiscard]] Duration default_lookahead(const LatencyModel& latency);
+
+/// lags[r][s]: the fewest whole lookahead windows any message from a node
+/// on shard r to a node on shard s takes, or nullopt when none ever does
+/// (the diagonal included: a shard never waits for itself). A message sent
+/// in window k with delay d lands in window k + floor(d / window) or later.
+using ShardLags = std::vector<std::vector<std::optional<std::int64_t>>>;
+
+/// The sharded engine's per-link lookahead (DESIGN.md §14), mirroring
+/// ProxyNode's sends: a home (client-facing cache) sends ICP queries and
+/// sibling requests to its ICP peers at the probe hop, and they answer at
+/// the reply hop (ICP) or the body hop (sibling responses); a child sends
+/// parent requests at the probe hop and its parent answers at the body hop.
+[[nodiscard]] ShardLags shard_lags(const Topology& topology, const TopologyPartition& partition,
+                                   const HopDelays& delays, Duration window);
 
 struct RunSpec {
   /// The cache group: topology, capacities, policies, protocol knobs,
