@@ -16,8 +16,9 @@ namespace eacache {
 
 /// A flat tagged union (plain fields, not std::variant): trivially
 /// copyable, so correlation code reads common fields without visitation,
-/// and 80 bytes, because the sharded engine sorts tens of messages per
-/// request at every window barrier.
+/// and 80 bytes, because the sharded engine sorts every mailbox entry by
+/// delivery order once per window (an ICP fan-out is one entry per shard
+/// each way, every other hop one entry).
 struct WireMessage {
   enum class Kind : std::uint8_t {
     kClientRequest,   ///< load generator -> home proxy: serve `document`

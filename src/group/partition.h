@@ -15,6 +15,13 @@
 //  * the requested shard count is clamped to the client-facing count (a
 //    shard with no client-facing proxy would never admit a request).
 //
+// Cuts between sibling groups keep leaf shards unlinked: when every block
+// boundary falls between two parents' children, a leaf's ICP peers and its
+// parent share its shard, so two leaf blocks never message each other and
+// only exchange parent-chain hops with the shard holding their common
+// ancestor. That is what lets the engine's per-link lookahead
+// (shard_lags in core/run_spec.h) run a leaf shard many windows ahead.
+//
 // Determinism is load-bearing: the partition feeds the engine's
 // shards=1-vs-N byte-identity guarantee, so the function must return the
 // same cut on every call, on every platform, for the same inputs.

@@ -314,6 +314,7 @@ class ShardEngine {
 
   /// The last window `shard` may run: a message from a sender lands at
   /// least its lag after that sender's published progress (or the floor).
+  /// Capped at kForever, so published progress never passes it.
   [[nodiscard]] std::int64_t horizon(const Shard& shard) const {
     const std::int64_t floor = floor_;
     std::int64_t horizon = kForever;
@@ -623,8 +624,9 @@ class ShardEngine {
       if (shard.out.size() != 1 || shard.out.front().kind != WireMessage::Kind::kIcpReply) {
         throw std::logic_error("shard engine: an ICP query must cause exactly one reply");
       }
-      if (shard.out.front().icp == WireMessage::Icp::kHit) answers.body_size |= Bytes{1} << bit;
-      if (shard.out.front().icp == WireMessage::Icp::kNoAnswer) answers.span_id |= 1ULL << bit;
+      const WireMessage::Icp answer = shard.out.front().icp;
+      if (answer == WireMessage::Icp::kHit) answers.body_size |= Bytes{1} << bit;
+      if (answer == WireMessage::Icp::kNoAnswer) answers.span_id |= std::uint64_t{1} << bit;
       shard.out.clear();
     }
     send(shard, answers, now);

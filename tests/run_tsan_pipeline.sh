@@ -60,18 +60,23 @@ EACACHE_JOBS=8 "$tsan_dir/tests/test_sim" \
 
 # Sharded parallel engine: the determinism suite runs the same trace at 1, 2,
 # 4 and 8 shard threads and byte-compares the result JSON, so every mailbox
-# handoff, barrier crossing (the atomic generation poll and the CondVar park)
-# and merge path runs under TSan while the comparison proves the
-# interleavings never leak into the result. The sharded goldens check the
-# same threaded runs against results pinned before, not only against each
-# other.
+# handoff, every progress publication and horizon read (the atomics a shard
+# polls before it runs a window), the yield-then-park wait on the CondVar
+# with its parked count, the all-waiting jump under round_mutex_ and every
+# merge path run under TSan while the comparison proves the interleavings
+# never leak into the result. The quiet-stretch cases (bursts an hour
+# apart, one home shard, a 2-request trace) drive the jump and the end of
+# a run; the sharded goldens check the same threaded runs against results
+# pinned before, not only against each other.
 "$tsan_dir/tests/test_sim" \
   --gtest_filter='ShardEngineTest.*:ShardEngineValidationTest.*:PipelineRegression.Sharded*' \
   --gtest_brief=1
 
 # The ProxyNode core both engines execute, driven thread-free by a
 # test-local loop: TSan confirms the node itself owns no hidden shared state.
-"$tsan_dir/tests/test_core" --gtest_filter='ProxyNodeTest.*' --gtest_brief=1
+# The lag table those horizons are built from is a pure function, checked
+# here beside the node.
+"$tsan_dir/tests/test_core" --gtest_filter='ProxyNodeTest.*:ShardLagsTest.*' --gtest_brief=1
 
 # The bench harness drives the same pool through its CLI surface: a plain
 # multi-job sweep, then the event-driven pipeline arm with retries+coalescing

@@ -2,6 +2,8 @@
 //  * the headline determinism guarantee — result JSON byte-identical for
 //    shards=1 and shards={2,4,8}, EA and ad-hoc placement, flat and
 //    three-level hierarchical topologies;
+//  * quiet stretches and the end of a run: a long gap between bursts, a
+//    trace homed on one shard and a 2-request trace stay invariant too;
 //  * request conservation (every trace request lands in GroupMetrics);
 //  * the RunSpec validation rules that fence off the unsupported subset.
 #include "sim/shard_engine.h"
@@ -88,6 +90,55 @@ TEST(ShardEngineTest, HierarchicalEaResultIsShardCountInvariant) {
 
 TEST(ShardEngineTest, HierarchicalAdHocResultIsShardCountInvariant) {
   expect_shard_count_invariant(hierarchical_group(PlacementKind::kAdHoc), dense_trace(11));
+}
+
+// The quiet-stretch and end-of-run cases run on both groups: the flat one
+// links every shard to every other, the tree links leaf blocks only
+// through the root's shard.
+std::vector<GroupConfig> both_groups() {
+  return {flat_group(PlacementKind::kEa), hierarchical_group(PlacementKind::kEa)};
+}
+
+TEST(ShardEngineTest, BurstsAnHourApartAreShardCountInvariant) {
+  // Idle shards must cross the gap in one jump, not one lag at a time, and
+  // the second burst must find every shard's clock where the first left it.
+  Trace trace = dense_trace();
+  for (std::size_t i = trace.size() / 2; i < trace.size(); ++i) trace.requests[i].at += hours(1);
+  for (const GroupConfig& group : both_groups()) expect_shard_count_invariant(group, trace);
+}
+
+TEST(ShardEngineTest, TraceHomedOnOneShardIsShardCountInvariant) {
+  // Every admission lands on shard 0: the other shards only ever answer.
+  for (const GroupConfig& group : both_groups()) {
+    const Topology topology = topology_from(group);
+    const ProxyId home = topology.client_facing().front();
+    Trace trace;
+    for (const Request& request : dense_trace().requests) {
+      if (home_proxy_in(topology, request.user) == home) trace.requests.push_back(request);
+    }
+    ASSERT_GT(trace.size(), 10u);
+    expect_shard_count_invariant(group, trace);
+  }
+}
+
+TEST(ShardEngineTest, TwoRequestTraceIsShardCountInvariant) {
+  Trace trace = dense_trace();
+  trace.requests.resize(2);
+  for (const GroupConfig& group : both_groups()) {
+    expect_shard_count_invariant(group, trace);
+    EXPECT_EQ(run_sharded_simulation(trace, sharded_spec(group, 4)).metrics.total_requests(), 2u);
+  }
+}
+
+TEST(ShardEngineTest, WideFanOutIsShardCountInvariant) {
+  // 70 peers: on one shard a home's 69 answers need two reply bundles (64
+  // answers each at most); split over 2+ shards every bundle fits in one.
+  GroupConfig group = flat_group(PlacementKind::kEa);
+  group.num_proxies = 70;
+  group.aggregate_capacity = 8 * kMiB;
+  Trace trace = dense_trace();
+  trace.requests.resize(600);
+  expect_shard_count_invariant(group, trace);
 }
 
 TEST(ShardEngineTest, EveryTraceRequestIsAccounted) {
