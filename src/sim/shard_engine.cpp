@@ -421,12 +421,12 @@ class ShardEngine {
 
   // ---- one window -------------------------------------------------------
 
-  /// Fire everything due in window `window` as one merge of three sources:
+  /// Fire everything due in window `window` as one merge of four sources:
   /// the mailbox batch sorted in DeliveryOrder, this window's admissions in
-  /// trace order, and the timers. At one instant the order is: timers set
-  /// before this window (pre-scheduled ones first), then the batch, then
-  /// the admissions, then timers set during this window — the order every
-  /// shard count reproduces.
+  /// trace order, and the two timer fronts (next_timer). At one instant the
+  /// order is: timers set before this window (pre-scheduled ones first),
+  /// then the batch, then the admissions, then timers set during this
+  /// window — the order every shard count reproduces.
   void process_window(Shard& shard, std::int64_t window) {
     const TimePoint window_end = kSimEpoch + lookahead_ * (window + 1);
 

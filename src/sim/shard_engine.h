@@ -57,9 +57,8 @@
 // home's reply handling only counts and then sorts by ring distance, a
 // total order), and every merged aggregate (GroupMetrics, TransportStats,
 // MetricRegistry, series samples) is commutative or merged in global
-// proxy-id order. The
-// sharded_merge_order_* goldens pin the fire order itself, which shard-count
-// invariance alone cannot.
+// proxy-id order. The sharded_merge_order_* goldens pin the fire order
+// itself, which shard-count invariance alone cannot.
 //
 // The engine accepts the RunSpec subset RunSpec::validate() admits for
 // sharded execution: ICP discovery, cooperative routing, no coherence, no
