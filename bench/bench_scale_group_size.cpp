@@ -42,7 +42,7 @@ int run_shard_scaling() {
                       "Sharded-engine throughput, 1024-leaf hierarchy (1089 caches)");
   // Dense short-span workload: the conservative-window count is span /
   // lookahead, so a compact burst measures engine throughput instead of
-  // barrier spinning over empty simulated months.
+  // shards handing windows to each other over empty simulated months.
   SyntheticTraceConfig workload;
   workload.seed = 1024;
   workload.num_requests = 60'000;
